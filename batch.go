@@ -2,11 +2,15 @@ package bistpath
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Job is one synthesis request in a batch passed to SynthesizeAll.
+// Job is one synthesis request: an element of a SynthesizeAll batch, or
+// the argument of RunJob.
 type Job struct {
 	// Name labels the job in its BatchResult; it defaults to the DFG
 	// name. Distinct jobs may share a name (e.g. the same design at
@@ -25,7 +29,7 @@ type Job struct {
 	Config Config
 }
 
-// BatchOptions configures SynthesizeAll.
+// BatchOptions configures Synthesizer.SynthesizeAll.
 type BatchOptions struct {
 	// Workers bounds how many jobs are synthesized concurrently.
 	// 0 (the default) uses runtime.GOMAXPROCS(0); 1 runs the batch
@@ -77,46 +81,136 @@ func (s BatchStats) Utilization() float64 {
 	return u
 }
 
-// SynthesizeAll synthesizes every job on a bounded worker pool and
-// returns one BatchResult per job, in job order. The context cancels the
-// batch: jobs not yet started fail with ctx.Err(), and jobs already
-// running abort at the next synthesis phase boundary (the BIST branch
-// and bound polls the context). A panic inside one job is recovered and
-// degrades that single job to an error instead of killing the batch.
+// SynthesizeAll synthesizes every job on a bounded worker pool drawing
+// scratch arenas from this handle and returns one BatchResult per job,
+// in job order, plus pool-utilization accounting for the run. The
+// context cancels the batch: jobs not yet started fail with ctx.Err(),
+// and jobs already running abort at the next synthesis phase boundary
+// (the BIST branch and bound polls the context). A panic inside one job
+// is recovered and degrades that single job to an error instead of
+// killing the batch (see RunJob).
+func (s *Synthesizer) SynthesizeAll(ctx context.Context, jobs []Job, opts BatchOptions) ([]BatchResult, BatchStats) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	results := make([]BatchResult, len(jobs))
+	if len(jobs) == 0 {
+		return results, BatchStats{}
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(jobs) {
+		workers = len(jobs)
+	}
+
+	start := time.Now()
+	var busy atomic.Int64
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				job := jobs[i]
+				if job.Config.Cache == nil {
+					job.Config.Cache = opts.Cache
+				}
+				results[i] = s.RunJob(ctx, job)
+				busy.Add(int64(results[i].Duration))
+			}
+		}()
+	}
+	// Feed job indices until done or cancelled; on cancellation the
+	// remaining unstarted jobs fail promptly with ctx.Err().
+	cancelled := -1
+feed:
+	for i := range jobs {
+		select {
+		case <-ctx.Done():
+			cancelled = i
+			break feed
+		case idx <- i:
+		}
+	}
+	close(idx)
+	wg.Wait()
+	if cancelled >= 0 {
+		for i := cancelled; i < len(jobs); i++ {
+			results[i] = BatchResult{Name: jobName(jobs[i]), Err: ctx.Err()}
+		}
+	}
+	expBatchJobs.Add(int64(len(jobs)))
+	return results, BatchStats{
+		Workers: workers,
+		Wall:    time.Since(start),
+		Busy:    time.Duration(busy.Load()),
+	}
+}
+
+// RunJob synthesizes one job on this handle, converting a panic into a
+// per-job error so a single bad design cannot take down the whole batch
+// (or a whole server). It is the per-job execution primitive under
+// SynthesizeAll; use it directly when the caller manages its own
+// concurrency, e.g. around a Pool slot. A job without a Config.Cache of
+// its own inherits the handle's; a nil Job.DFG fails with ErrNoDFG.
 //
-// SynthesizeAll is a thin wrapper over the package-default Synthesizer;
-// use an explicit handle (New) to share a cache or bound the lifetime.
-func SynthesizeAll(ctx context.Context, jobs []Job, opts BatchOptions) []BatchResult {
-	return defaultSynthesizer.SynthesizeAll(ctx, jobs, opts)
+// When a panic is recovered and the job has an Observer, the observer
+// receives one final PanicRecovered event: without it a streaming
+// subscriber (e.g. an SSE client of bistpathd) would wait forever for a
+// conclusion that cannot come, because the panic unwound past the
+// pipeline before any terminal phase event fired.
+func (s *Synthesizer) RunJob(ctx context.Context, j Job) (br BatchResult) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	br.Name = jobName(j)
+	start := time.Now()
+	defer func() {
+		br.Duration = time.Since(start)
+		if r := recover(); r != nil {
+			br.Result = nil
+			br.Err = fmt.Errorf("bistpath: job %q panicked: %v", br.Name, r)
+			notifyPanicRecovered(j.Config.Observer, br.Name)
+		}
+	}()
+	if err := ctx.Err(); err != nil {
+		br.Err = err
+		return br
+	}
+	if j.DFG == nil {
+		br.Err = ErrNoDFG
+		return br
+	}
+	cfg := j.Config
+	if cfg.Cache == nil {
+		cfg.Cache = s.cfg.Cache
+	}
+	br.Result, br.Err = s.run(ctx, j.DFG.g, j.Modules, cfg)
+	return br
 }
 
-// SynthesizeAllStats is SynthesizeAll plus pool-utilization accounting
-// for the run.
-func SynthesizeAllStats(ctx context.Context, jobs []Job, opts BatchOptions) ([]BatchResult, BatchStats) {
-	return defaultSynthesizer.SynthesizeAllStats(ctx, jobs, opts)
-}
-
-// Pool is a persistent, process-wide synthesis worker pool: a bounded
+// Pool is a persistent, process-wide bound on concurrent synthesis: a
 // set of slots that outlives any single batch. Where SynthesizeAll
 // serves the one-shot "here are N jobs" shape, a Pool serves long-lived
 // callers — most prominently the bistpathd service — that receive jobs
 // over time and need every submission in the process to share one
-// concurrency budget. A Pool is safe for concurrent use.
+// concurrency budget: Acquire a slot, run the job (Synthesizer.RunJob),
+// Release. A Pool is safe for concurrent use.
 type Pool struct {
 	sem     chan struct{}
 	workers int
-	synth   *Synthesizer // handle whose scratch arenas Do's jobs reuse
 }
 
 // NewPool creates a pool with the given number of worker slots
-// (0 or negative = runtime.GOMAXPROCS(0)). The pool runs jobs through
-// the package-default Synthesizer; use Synthesizer.NewPool to bind one
-// to an explicit handle.
+// (0 or negative = runtime.GOMAXPROCS(0)).
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{sem: make(chan struct{}, workers), workers: workers, synth: defaultSynthesizer}
+	return &Pool{sem: make(chan struct{}, workers), workers: workers}
 }
 
 // Workers returns the pool's slot count.
@@ -139,18 +233,6 @@ func (p *Pool) Acquire(ctx context.Context) error {
 // Release returns a slot taken by Acquire.
 func (p *Pool) Release() { <-p.sem }
 
-// Do runs one job on the pool with the batch execution semantics
-// (panic recovery, cancellation, Duration accounting), blocking until a
-// slot is free. A job refused by cancellation before acquiring a slot
-// fails with ctx.Err().
-func (p *Pool) Do(ctx context.Context, j Job) BatchResult {
-	if err := p.Acquire(ctx); err != nil {
-		return BatchResult{Name: jobName(j), Err: err}
-	}
-	defer p.Release()
-	return p.synth.runJob(ctx, j)
-}
-
 func jobName(j Job) string {
 	if j.Name != "" {
 		return j.Name
@@ -159,24 +241,6 @@ func jobName(j Job) string {
 		return j.DFG.Name()
 	}
 	return ""
-}
-
-// RunJob synthesizes one job through the single SynthesizeCtx core path,
-// converting a panic into a per-job error so a single bad design cannot
-// take down the whole batch (or a whole server). It is the per-job
-// execution primitive under SynthesizeAll and Pool.Do; use it directly
-// when the caller manages its own concurrency.
-//
-// When a panic is recovered and the job has an Observer, the observer
-// receives one final PanicRecovered event: without it a streaming
-// subscriber (e.g. an SSE client of bistpathd) would wait forever for a
-// conclusion that cannot come, because the panic unwound past the
-// pipeline before any terminal phase event fired.
-//
-// RunJob executes on the package-default Synthesizer, so repeated jobs
-// (a daemon's steady state) reuse its scratch arenas.
-func RunJob(ctx context.Context, j Job) BatchResult {
-	return defaultSynthesizer.runJob(ctx, j)
 }
 
 // notifyPanicRecovered delivers the terminal PanicRecovered event to an

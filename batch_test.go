@@ -35,6 +35,25 @@ func benchJobs(t testing.TB) []Job {
 	return jobs
 }
 
+// runBatch runs jobs on a fresh handle and returns the per-job results.
+func runBatch(ctx context.Context, jobs []Job, opts BatchOptions) []BatchResult {
+	s := New(DefaultConfig())
+	defer s.Close()
+	rs, _ := s.SynthesizeAll(ctx, jobs, opts)
+	return rs
+}
+
+// poolRun runs one job on s inside a slot of p, the way bistpathd runs
+// its jobs: a job refused by cancellation before it gets a slot fails
+// with ctx.Err().
+func poolRun(p *Pool, s *Synthesizer, ctx context.Context, j Job) BatchResult {
+	if err := p.Acquire(ctx); err != nil {
+		return BatchResult{Name: jobName(j), Err: err}
+	}
+	defer p.Release()
+	return s.RunJob(ctx, j)
+}
+
 // reportsOf renders every successful result; errors fail the test.
 func reportsOf(t testing.TB, rs []BatchResult) []string {
 	t.Helper()
@@ -54,11 +73,11 @@ func reportsOf(t testing.TB, rs []BatchResult) []string {
 // race-clean.
 func TestSynthesizeAllDeterministicAcrossWorkers(t *testing.T) {
 	jobs := benchJobs(t)
-	seq := reportsOf(t, SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 1}))
+	seq := reportsOf(t, runBatch(context.Background(), jobs, BatchOptions{Workers: 1}))
 
 	// The sequential batch must also match the plain one-at-a-time API.
 	for i, j := range jobs {
-		res, err := j.DFG.Synthesize(j.Modules, j.Config)
+		res, err := j.DFG.SynthesizeCtx(context.Background(), j.Modules, j.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +87,7 @@ func TestSynthesizeAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 3, 8} {
-		par := reportsOf(t, SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: workers}))
+		par := reportsOf(t, runBatch(context.Background(), jobs, BatchOptions{Workers: workers}))
 		for i := range seq {
 			if par[i] != seq[i] {
 				t.Errorf("workers=%d job %s: report differs from workers=1:\n--- sequential\n%s\n--- parallel\n%s",
@@ -82,13 +101,13 @@ func TestSynthesizeAllDeterministicAcrossWorkers(t *testing.T) {
 // either: the branch and bound's tie-break is canonical search order.
 func TestSynthesizeAllInnerWorkersDeterministic(t *testing.T) {
 	jobs := benchJobs(t)
-	seq := reportsOf(t, SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 1}))
+	seq := reportsOf(t, runBatch(context.Background(), jobs, BatchOptions{Workers: 1}))
 	parJobs := make([]Job, len(jobs))
 	for i, j := range jobs {
 		j.Config.Workers = 8
 		parJobs[i] = j
 	}
-	par := reportsOf(t, SynthesizeAll(context.Background(), parJobs, BatchOptions{Workers: 4}))
+	par := reportsOf(t, runBatch(context.Background(), parJobs, BatchOptions{Workers: 4}))
 	for i := range seq {
 		if par[i] != seq[i] {
 			t.Errorf("job %s: Config.Workers=8 report differs from sequential", jobs[i].Name)
@@ -121,7 +140,7 @@ func TestSynthesizeAllCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	rs := SynthesizeAll(ctx, jobs, BatchOptions{Workers: 4})
+	rs := runBatch(ctx, jobs, BatchOptions{Workers: 4})
 	if el := time.Since(start); el > 2*time.Second {
 		t.Errorf("cancelled batch took %v, want prompt return", el)
 	}
@@ -153,7 +172,7 @@ func TestSynthesizeAllCancelMidBatch(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan []BatchResult, 1)
-	go func() { done <- SynthesizeAll(ctx, jobs, BatchOptions{Workers: 2}) }()
+	go func() { done <- runBatch(ctx, jobs, BatchOptions{Workers: 2}) }()
 	time.Sleep(5 * time.Millisecond)
 	cancel()
 	rs := <-done
@@ -186,7 +205,7 @@ func TestSynthesizeAllPanicRecovery(t *testing.T) {
 		{Name: "bad", DFG: &DFG{}, Config: DefaultConfig()},
 		{Name: "good-2", DFG: good, Modules: mods, Config: DefaultConfig()},
 	}
-	rs := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 2})
+	rs := runBatch(context.Background(), jobs, BatchOptions{Workers: 2})
 	if rs[0].Err != nil || rs[2].Err != nil {
 		t.Fatalf("good jobs failed: %v / %v", rs[0].Err, rs[2].Err)
 	}
@@ -214,7 +233,9 @@ func TestRunJobPanicTerminalEvent(t *testing.T) {
 	}
 	// A DFG with no internal graph panics deep inside synthesis, before
 	// any phase event fires.
-	br := RunJob(context.Background(), Job{Name: "bad", DFG: &DFG{}, Config: cfg})
+	s := New(DefaultConfig())
+	defer s.Close()
+	br := s.RunJob(context.Background(), Job{Name: "bad", DFG: &DFG{}, Config: cfg})
 	if br.Err == nil || !strings.Contains(br.Err.Error(), "panicked") {
 		t.Fatalf("err = %v, want recovered panic", br.Err)
 	}
@@ -262,7 +283,7 @@ func TestSynthesizeAllObserverPanicTerminalEvent(t *testing.T) {
 			panic("observer boom")
 		}
 	}
-	rs := SynthesizeAll(context.Background(),
+	rs := runBatch(context.Background(),
 		[]Job{{DFG: d, Modules: mods, Config: cfg}}, BatchOptions{Workers: 1})
 	if rs[0].Err == nil || !strings.Contains(rs[0].Err.Error(), "panicked") {
 		t.Fatalf("err = %v, want recovered panic", rs[0].Err)
@@ -274,39 +295,46 @@ func TestSynthesizeAllObserverPanicTerminalEvent(t *testing.T) {
 	}
 }
 
-// Pool is the persistent form of the batch pool: slots survive panics
-// and refuse work only on the caller's own cancellation.
-func TestPoolDo(t *testing.T) {
+// Pool slots around RunJob, the bistpathd job shape: slots survive
+// panics and refuse work only on the caller's own cancellation.
+func TestPoolSlots(t *testing.T) {
 	d, mods, err := Benchmark("ex1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := New(DefaultConfig())
+	defer s.Close()
 	p := NewPool(2)
 	if p.Workers() != 2 {
 		t.Fatalf("Workers() = %d, want 2", p.Workers())
 	}
-	br := p.Do(context.Background(), Job{DFG: d, Modules: mods, Config: DefaultConfig()})
+	br := poolRun(p, s, context.Background(), Job{DFG: d, Modules: mods, Config: DefaultConfig()})
 	if br.Err != nil {
-		t.Fatalf("Do: %v", br.Err)
+		t.Fatalf("RunJob: %v", br.Err)
 	}
 	if br.Name != "ex1" {
 		t.Errorf("Name = %q, want ex1 (defaulted from the DFG)", br.Name)
 	}
 
+	// A cancelled caller is refused at Acquire; RunJob itself refuses a
+	// cancelled context too, without synthesizing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if br := p.Do(ctx, Job{DFG: d, Modules: mods, Config: DefaultConfig()}); !errors.Is(br.Err, context.Canceled) {
-		t.Fatalf("cancelled Do: err = %v, want context.Canceled", br.Err)
+	if br := poolRun(p, s, ctx, Job{DFG: d, Modules: mods, Config: DefaultConfig()}); !errors.Is(br.Err, context.Canceled) {
+		t.Fatalf("cancelled pool run: err = %v, want context.Canceled", br.Err)
+	}
+	if br := s.RunJob(ctx, Job{DFG: d, Modules: mods, Config: DefaultConfig()}); !errors.Is(br.Err, context.Canceled) || br.Result != nil {
+		t.Fatalf("cancelled RunJob: res=%v err = %v, want context.Canceled", br.Result != nil, br.Err)
 	}
 
 	// Slots are released even when jobs panic: more panicking jobs than
 	// slots, then a good job, must not wedge.
 	for i := 0; i < 5; i++ {
-		if br := p.Do(context.Background(), Job{Name: "bad", DFG: &DFG{}, Config: DefaultConfig()}); br.Err == nil {
+		if br := poolRun(p, s, context.Background(), Job{Name: "bad", DFG: &DFG{}, Config: DefaultConfig()}); br.Err == nil {
 			t.Fatal("panicking job reported success")
 		}
 	}
-	if br := p.Do(context.Background(), Job{DFG: d, Modules: mods, Config: DefaultConfig()}); br.Err != nil {
+	if br := poolRun(p, s, context.Background(), Job{DFG: d, Modules: mods, Config: DefaultConfig()}); br.Err != nil {
 		t.Fatalf("pool wedged after panics: %v", br.Err)
 	}
 }
@@ -321,7 +349,7 @@ func TestSynthesizeAllJobShapes(t *testing.T) {
 		{Name: "missing"},
 		{DFG: d, Config: DefaultConfig()}, // auto binding, name from DFG
 	}
-	rs := SynthesizeAll(context.Background(), jobs, BatchOptions{})
+	rs := runBatch(context.Background(), jobs, BatchOptions{})
 	if rs[0].Err == nil {
 		t.Error("nil-DFG job succeeded")
 	}
@@ -331,7 +359,7 @@ func TestSynthesizeAllJobShapes(t *testing.T) {
 	if rs[1].Name != "ex1" {
 		t.Errorf("default name = %q, want ex1", rs[1].Name)
 	}
-	if got := SynthesizeAll(context.Background(), nil, BatchOptions{}); len(got) != 0 {
+	if got := runBatch(context.Background(), nil, BatchOptions{}); len(got) != 0 {
 		t.Errorf("empty batch returned %d results", len(got))
 	}
 }
@@ -343,10 +371,12 @@ func TestSynthesizeAllJobShapes(t *testing.T) {
 // identical output (asserted by TestSynthesizeAllDeterministicAcrossWorkers).
 func BenchmarkSynthesizeAll(b *testing.B) {
 	jobs := benchJobs(b)
+	s := New(DefaultConfig())
+	defer s.Close()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rs := SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: workers})
+				rs, _ := s.SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: workers})
 				for _, r := range rs {
 					if r.Err != nil {
 						b.Fatal(r.Err)

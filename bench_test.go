@@ -41,11 +41,11 @@ func benchBoth(b *testing.B, name string) {
 	cfgR.Mode = TraditionalHLS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt, err := d.Synthesize(mods, cfgT)
+		rt, err := d.SynthesizeCtx(context.Background(), mods, cfgT)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rr, err := d.Synthesize(mods, cfgR)
+		rr, err := d.SynthesizeCtx(context.Background(), mods, cfgR)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func BenchmarkTableII(b *testing.B) {
 			for _, mode := range []Mode{TraditionalHLS, Testable} {
 				cfg := DefaultConfig()
 				cfg.Mode = mode
-				res, err := d.Synthesize(mods, cfg)
+				res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -113,7 +113,7 @@ func BenchmarkTableIII(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ours, err := d.Synthesize(mods, DefaultConfig())
+		ours, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func BenchmarkFig5_DataPaths(b *testing.B) {
 		for _, mode := range []Mode{Testable, TraditionalHLS} {
 			cfg := DefaultConfig()
 			cfg.Mode = mode
-			res, err := d.Synthesize(mods, cfg)
+			res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -256,7 +256,7 @@ func benchAblation(b *testing.B, mut func(*Config)) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, d := range graphs {
-			if _, err := d.SynthesizeAuto(cfg); err != nil {
+			if _, err := d.SynthesizeCtx(context.Background(), nil, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -359,7 +359,7 @@ func BenchmarkSynthesizePareto(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := d.SynthesizePareto(mods, DefaultConfig())
+		res, err := d.SynthesizeCtx(context.Background(), mods, paretoConfig(DefaultConfig()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -418,7 +418,7 @@ func BenchmarkFullFlowRandom(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.SynthesizeAuto(DefaultConfig()); err != nil {
+				if _, err := d.SynthesizeCtx(context.Background(), nil, DefaultConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -430,7 +430,7 @@ func BenchmarkFullFlowRandom(b *testing.B) {
 // and fault-simulate one module per iteration.
 func BenchmarkGateLevel(b *testing.B) {
 	d, mods, _ := Benchmark("ex1")
-	res, err := d.Synthesize(mods, DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func BenchmarkCacheKey(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mb, err := d.moduleBinding(mods)
+	mb, err := bindModules(d.g, mods)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -652,12 +652,12 @@ func BenchmarkCacheHitMemory(b *testing.B) {
 	}
 	cfg := DefaultConfig()
 	cfg.Cache = c
-	if _, err := d.Synthesize(mods, cfg); err != nil {
+	if _, err := d.SynthesizeCtx(context.Background(), mods, cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := d.Synthesize(mods, cfg)
+		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -682,7 +682,7 @@ func BenchmarkCacheHitDisk(b *testing.B) {
 	}
 	cfg := DefaultConfig()
 	cfg.Cache = seed
-	if _, err := d.Synthesize(mods, cfg); err != nil {
+	if _, err := d.SynthesizeCtx(context.Background(), mods, cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -692,7 +692,7 @@ func BenchmarkCacheHitDisk(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg.Cache = c
-		res, err := d.Synthesize(mods, cfg)
+		res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

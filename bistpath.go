@@ -467,64 +467,45 @@ func attachPareto(res *Result, front []*bist.Plan) {
 	}
 }
 
-// synthesize is the internal-type entry point shared by the public
-// wrappers, cmd tools and benchmarks. It normalizes the config and
-// routes through Config.Cache when one is attached; the actual pipeline
-// lives in synthesizeCore. sc, when non-nil, loans the run reusable
-// scratch memory (a Synthesizer threads one through every run).
-func synthesize(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config, sc *synthScratch) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// normalizeConfig fills the Config defaults the pipeline and the cache
+// key rely on: width 8 and, for WeightedSum, the balanced {1, 1, 1}
+// weights. Synthesizer.run and NewSessionConfig call it exactly once per
+// request, so everything downstream sees one normalized Config.
+func normalizeConfig(cfg Config) Config {
 	if cfg.Width == 0 {
 		cfg.Width = 8
 	}
 	if cfg.Objective == WeightedSum && cfg.Weights == (Weights{}) {
 		cfg.Weights = Weights{Area: 1, TestTime: 1, PeakPower: 1}
 	}
-	// Pareto-front runs bypass the cache: a cache entry persists a single
-	// plan, not a plan set (the area-only and weighted objectives cache
-	// normally, with the objective folded into the key). Budget-truncated
-	// stochastic runs bypass it too — where the wall clock cuts the
-	// search off is not reproducible, so memoizing one arbitrary outcome
-	// under a semantic key would be a lie.
-	cacheable := cfg.Objective != ParetoFront &&
-		(cfg.Search == SearchExact || cfg.TimeBudget == 0)
-	if cfg.Cache != nil && cacheable {
-		return cfg.Cache.synthesize(ctx, g, mb, cfg, sc)
-	}
-	return synthesizeCore(ctx, g, mb, cfg, nil, sc)
+	return cfg
 }
 
-// phaseReuse hands a pipeline run the surviving artifacts of a previous
-// run over the same design lineage (a Session's last Resynthesize). The
-// pipeline trusts nothing blindly: the register binding is reused only
-// when the binder fingerprint of the live inputs matches bindFP, and
-// the plan is spliced or used as an incumbent bound only after it
-// revalidates against the freshly rebuilt data path.
-type phaseReuse struct {
-	// Register-bind phase: the previous binding plus everything needed
-	// to replay its observable side products (metrics, decision trace).
-	bindFP      [32]byte
-	haveBindFP  bool
-	rb          *regassign.Binding
-	bindMetrics regassign.Metrics
-	trace       []regassign.Decision
-
-	// BIST-search phase: the previous plan, the structural fingerprint
-	// of the data path it was optimal for, the search counters to
-	// replay on a splice, and the forced-CBILBO classifications (pure
-	// functions of the data-path structure) the report phase reuses.
-	dpFP           string
-	plan           *bist.Plan
-	searchMetrics  bist.Metrics
-	searchStrategy string
-	forced         map[string]bool
+// cachePolicy reports whether a run's plan is a deterministic pure
+// function of its semantic inputs, and so may be replayed rather than
+// searched for: served from Config.Cache, or spliced into a Session's
+// next run when the data-path structure is unchanged. Both replays
+// rebuild the plan through bist.PlanFromEmbeddings and revalidate it
+// against the live data path. Two kinds of run are excluded:
+//   - ParetoFront produces a plan set, which neither a cache entry nor
+//     a splice carries (MinArea and WeightedSum produce one plan);
+//   - a stochastic run with a wall-clock TimeBudget, because where the
+//     clock cuts the search off is not reproducible.
+func cachePolicy(cfg Config) bool {
+	return cfg.Objective != ParetoFront &&
+		(cfg.Search == SearchExact || cfg.TimeBudget == 0)
 }
 
 // phaseArtifacts captures the reusable products of a successful pipeline
-// run, in exactly the shape phaseReuse consumes next time.
+// run. A Session hands the previous run's artifacts back to the next
+// run as pipeExtras.reuse; the pipeline trusts nothing blindly: the
+// register binding is reused only when the binder fingerprint of the
+// live inputs matches bindFP, and the plan is spliced or used as an
+// incumbent bound only after it revalidates against the freshly rebuilt
+// data path.
 type phaseArtifacts struct {
+	// Register-bind phase: the binding plus everything needed to replay
+	// its observable side products (metrics, decision trace).
 	bindFP      [32]byte
 	haveBindFP  bool
 	rb          *regassign.Binding
@@ -537,13 +518,15 @@ type phaseArtifacts struct {
 	ib *interconnect.Binding
 	dp *datapath.Datapath
 
+	// BIST-search phase: the plan, the structural fingerprint of the
+	// data path it was optimal for, the search counters to replay on a
+	// splice, and the forced-CBILBO classifications (pure functions of
+	// the data-path structure) the report phase reuses.
 	dpFP           string
 	plan           *bist.Plan
 	searchMetrics  bist.Metrics
 	searchStrategy string
 	forced         map[string]bool
-
-	reused []string
 }
 
 // pipeExtras carries the optional attachments of one pipeline run: the
@@ -552,7 +535,7 @@ type phaseArtifacts struct {
 type pipeExtras struct {
 	cached  *cachedSynthesis
 	sc      *synthScratch
-	reuse   *phaseReuse
+	reuse   *phaseArtifacts
 	capture *phaseArtifacts
 }
 
@@ -578,17 +561,6 @@ func dpStructuralFP(dp *datapath.Datapath) string {
 	return sb.String()
 }
 
-// planSpliceable reports whether a previous plan may replace the search
-// outright when the data-path structure is unchanged: the plan must be
-// a deterministic pure function of that structure, which holds for the
-// single-objective searches (exact always; stochastic when generation-
-// bounded, since a wall-clock cutoff is not reproducible). This mirrors
-// the cacheability condition in synthesize.
-func planSpliceable(cfg Config) bool {
-	return cfg.Objective == MinArea &&
-		(cfg.Search == SearchExact || cfg.TimeBudget == 0)
-}
-
 // planUsesPadHead reports whether any embedding sources test patterns
 // from an input pad.
 func planUsesPadHead(p *bist.Plan) bool {
@@ -600,13 +572,15 @@ func planUsesPadHead(p *bist.Plan) bool {
 	return false
 }
 
-// synthesizeCore runs the synthesis pipeline. The context is polled at
-// phase boundaries and inside the BIST branch and bound, so a cancelled
-// run returns ctx.Err() promptly. Each phase is timed into Result.Stats
-// and reported to cfg.Observer; non-context failures come back as
+// synthesizePipeline runs the five synthesis phases on a normalized
+// Config and a resolved module binding (Synthesizer.run and
+// Session.Resynthesize do both). The context is polled at phase
+// boundaries and inside the BIST branch and bound, so a cancelled run
+// returns ctx.Err() promptly. Each phase is timed into Result.Stats and
+// reported to cfg.Observer; non-context failures come back as
 // *SynthesisError attributed to the phase that produced them.
 //
-// A non-nil cached argument replays a disk-cache entry: the cheap
+// A non-nil pipe.cached replays a disk-cache entry: the cheap
 // deterministic phases (validate, register bind, interconnect, data
 // path) still run on the live inputs, but the BIST search is replaced
 // by the cached plan — validated against the rebuilt data path, so a
@@ -614,32 +588,15 @@ func planUsesPadHead(p *bist.Plan) bool {
 // wrong Result — and the Stats of the populating run are replayed
 // verbatim to keep Result.JSON() byte-identical.
 //
-// A non-nil sc threads reusable scratch memory into the register binder
-// and the BIST search; a nil sc simply allocates fresh state (the
-// Results are identical either way).
-func synthesizeCore(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config, cached *cachedSynthesis, sc *synthScratch) (*Result, error) {
-	return synthesizePipeline(ctx, g, mb, cfg, pipeExtras{cached: cached, sc: sc})
-}
-
-// synthesizePipeline is synthesizeCore generalized over pipeExtras: the
-// Session's incremental runs add reuse (artifacts of the previous run,
-// revalidated before use) and capture (this run's artifacts) to the
-// plain cached/scratch attachments. Phase skipping never changes the
-// Result's content — a reused register binding requires a binder
-// fingerprint match, a spliced plan a structural data-path match plus
-// revalidation — only Stats.ReusedPhases and the effort counters
-// betray that work was saved.
+// A non-nil pipe.sc threads reusable scratch memory into the register
+// binder and the BIST search; a Session's incremental runs add reuse
+// (artifacts of the previous run, revalidated before use) and capture
+// (this run's artifacts). Neither changes the Result's content — a
+// reused register binding requires a binder fingerprint match, a
+// spliced plan a structural data-path match plus revalidation — only
+// Stats.ReusedPhases and the effort counters betray that work was saved.
 func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config, pipe pipeExtras) (res *Result, retErr error) {
 	cached, sc := pipe.cached, pipe.sc
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cfg.Width == 0 {
-		cfg.Width = 8
-	}
-	if cfg.Objective == WeightedSum && cfg.Weights == (Weights{}) {
-		cfg.Weights = Weights{Area: 1, TestTime: 1, PeakPower: 1}
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -676,11 +633,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		}
 		if err := g.Validate(); err != nil {
 			return err
-		}
-		for _, o := range g.Ops() {
-			if o.Step == 0 {
-				return fmt.Errorf("%w: op %q", ErrUnscheduled, o.Name)
-			}
 		}
 		return mb.Validate(g)
 	}); err != nil {
@@ -797,7 +749,7 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		// revalidated against the fresh data path — the same distrustful
 		// path a disk-cache entry takes — and the previous run's search
 		// counters are replayed with it.
-		if r := pipe.reuse; dpMatched && r.plan != nil && planSpliceable(cfg) {
+		if r := pipe.reuse; dpMatched && r.plan != nil && cachePolicy(cfg) {
 			p := bist.PlanFromEmbeddings(area.Default(cfg.Width), r.plan.Embeddings, r.plan.Exact)
 			if p.Validate(dp) == nil && (cfg.AllowPadTPG || !planUsesPadHead(p)) {
 				plan = p
@@ -935,7 +887,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		art.searchMetrics = bm
 		art.searchStrategy = st.SearchStrategy
 		art.forced = forced
-		art.reused = st.ReusedPhases
 	}
 	recordRun(&st)
 	return res, nil

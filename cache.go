@@ -151,7 +151,7 @@ func (c *Cache) Stats() CacheStats {
 var errStaleCacheEntry = errors.New("bistpath: stale cache entry")
 
 // cachedSynthesis carries a reconstructed BIST plan plus the frozen
-// Stats of the run that produced it into synthesizeCore, which then
+// Stats of the run that produced it into synthesizePipeline, which then
 // skips the BIST search.
 type cachedSynthesis struct {
 	plan  *bist.Plan
@@ -205,7 +205,7 @@ func (c *Cache) fill(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, c
 	if c.disk != nil {
 		if payload, ok := c.disk.Get(key); ok {
 			if cached, err := decodeCacheEntry(payload, cfg.Width); err == nil {
-				res, err := synthesizeCore(ctx, g, mb, cfg, cached, sc)
+				res, err := synthesizePipeline(ctx, g, mb, cfg, pipeExtras{cached: cached, sc: sc})
 				switch {
 				case err == nil:
 					c.diskHits.Add(1)
@@ -223,7 +223,7 @@ func (c *Cache) fill(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, c
 	}
 	c.misses.Add(1)
 	expCacheMisses.Add(1)
-	res, err := synthesizeCore(ctx, g, mb, cfg, nil, sc)
+	res, err := synthesizePipeline(ctx, g, mb, cfg, pipeExtras{sc: sc})
 	if err != nil {
 		return nil, err
 	}
@@ -366,14 +366,6 @@ func resultFootprint(r *Result) int64 {
 	return n
 }
 
-// cacheKey computes the canonical content-addressed key for one
-// synthesis request. Everything semantic goes in; Workers, Observer and
-// Cache stay out (the determinism tests prove the former two cannot
-// change the Result). The DFG contributes its canonical text plus the
-// port-input marks the text format omits; the module binding
-// contributes a name-sorted inventory with sorted op lists, so the
-// explicit map and the automatic binder hit the same entry whenever
-// they resolve identically.
 // Section names of the canonical fingerprint, in stream order. The
 // sectioning is the contract the incremental Session layer diffs
 // against: each name groups the semantic inputs that, when changed,
@@ -394,6 +386,12 @@ type keySection struct {
 	payload string
 }
 
+// keySectionOrder lists the section names in stream order.
+var keySectionOrder = [...]string{
+	keySectionHeader, keySectionConfig, keySectionObjective, keySectionSearch,
+	keySectionModules, keySectionPorts, keySectionDFG,
+}
+
 // keySections itemizes the canonical fingerprint into named sections.
 // Concatenating the payloads in stream order reproduces, byte for
 // byte, the exact pre-image cacheKey has always hashed (pinned by
@@ -401,36 +399,38 @@ type keySection struct {
 // cache invalidation. Sections that contribute nothing to the stream
 // (objective at MinArea, search at SearchExact) carry empty payloads
 // rather than being omitted, so a diff between two configs always
-// compares like-named sections positionally.
+// compares like-named sections positionally. All sections are written
+// into one builder and sliced out of its final string by offset, so
+// the payloads share a single backing array.
 func keySections(g *dfg.Graph, mb *modassign.Binding, cfg Config) []keySection {
-	out := make([]keySection, 0, 7)
-	section := func(name string, fill func(sb *strings.Builder)) {
-		var sb strings.Builder
-		fill(&sb)
-		out = append(out, keySection{name: name, payload: sb.String()})
-	}
-	section(keySectionHeader, func(sb *strings.Builder) {
-		fmt.Fprintf(sb, "bistpath-cache-key v%d schema%d\n", cacheKeyVersion, ResultSchemaVersion)
-	})
-	section(keySectionConfig, func(sb *strings.Builder) {
-		fmt.Fprintf(sb, "width %d\n", cfg.Width)
-		fmt.Fprintf(sb, "mode %s\n", cfg.Mode)
-		fmt.Fprintf(sb, "allowpadtpg %t\nminimizesessions %t\ntrace %t\n",
-			cfg.AllowPadTPG, cfg.MinimizeSessions, cfg.Trace)
-		fmt.Fprintf(sb, "sharing %t\ncaseoverrides %t\navoidcbilbo %t\nweightedinterconnect %t\n",
-			cfg.Sharing, cfg.CaseOverrides, cfg.AvoidCBILBO, cfg.WeightedInterconnect)
-	})
+	var sb strings.Builder
+	// Presize from typical line lengths (fixed header and config text,
+	// then per module, op and variable) so the builder rarely regrows;
+	// every regrowth is an allocation on the cache's hit path.
+	sb.Grow(512 + 48*len(mb.Modules) + 40*len(g.Ops()) + 8*len(g.Vars()))
+	var ends [len(keySectionOrder)]int
+	next := 0
+	cut := func() { ends[next] = sb.Len(); next++ }
+
+	fmt.Fprintf(&sb, "bistpath-cache-key v%d schema%d\n", cacheKeyVersion, ResultSchemaVersion)
+	cut()
+
+	fmt.Fprintf(&sb, "width %d\n", cfg.Width)
+	sb.WriteString("mode " + cfg.Mode.String() + "\n")
+	fmt.Fprintf(&sb, "allowpadtpg %t\nminimizesessions %t\ntrace %t\n",
+		cfg.AllowPadTPG, cfg.MinimizeSessions, cfg.Trace)
+	fmt.Fprintf(&sb, "sharing %t\ncaseoverrides %t\navoidcbilbo %t\nweightedinterconnect %t\n",
+		cfg.Sharing, cfg.CaseOverrides, cfg.AvoidCBILBO, cfg.WeightedInterconnect)
+	cut()
+
 	// Multi-objective configuration joins the key only when it departs
 	// from the default MinArea objective, so every key computed for an
 	// area-only config is bit-identical to earlier releases — and a
 	// weighted run can never be served a cached pure-area result.
 	// (MinArea ignores Weights and Power entirely, so they are correctly
 	// absent from its keys.)
-	section(keySectionObjective, func(sb *strings.Builder) {
-		if cfg.Objective == MinArea {
-			return
-		}
-		fmt.Fprintf(sb, "objective %s\nweights %d %d %d\n",
+	if cfg.Objective != MinArea {
+		fmt.Fprintf(&sb, "objective %s\nweights %d %d %d\n",
 			cfg.Objective, cfg.Weights.Area, cfg.Weights.TestTime, cfg.Weights.PeakPower)
 		if len(cfg.Power) > 0 {
 			names := make([]string, 0, len(cfg.Power))
@@ -440,53 +440,67 @@ func keySections(g *dfg.Graph, mb *modassign.Binding, cfg Config) []keySection {
 			sort.Strings(names)
 			sb.WriteString("power")
 			for _, n := range names {
-				fmt.Fprintf(sb, " %s=%d", n, cfg.Power[n])
+				fmt.Fprintf(&sb, " %s=%d", n, cfg.Power[n])
 			}
 			sb.WriteByte('\n')
 		}
-	})
+	}
+	cut()
+
 	// The search strategy joins the key the same way: only when it
 	// departs from the default SearchExact, keeping every exact-config
 	// key bit-identical to earlier releases. Seed and the budgets are
 	// semantic for a stochastic run — different seeds legitimately cache
 	// different plans. (TimeBudget-truncated runs never reach cacheKey;
-	// synthesize routes them around the cache entirely.)
-	section(keySectionSearch, func(sb *strings.Builder) {
-		if cfg.Search == SearchExact {
-			return
-		}
-		fmt.Fprintf(sb, "search %s\nseed %d\ngenerations %d\nbudget %d\n",
+	// cachePolicy routes them around the cache entirely.)
+	if cfg.Search != SearchExact {
+		fmt.Fprintf(&sb, "search %s\nseed %d\ngenerations %d\nbudget %d\n",
 			cfg.Search, cfg.Seed, cfg.MaxGenerations, int64(cfg.TimeBudget))
-	})
-	section(keySectionModules, func(sb *strings.Builder) {
-		sb.WriteString("modules\n")
-		mods := append([]*modassign.Module(nil), mb.Modules...)
-		sort.Slice(mods, func(i, j int) bool { return mods[i].Name < mods[j].Name })
-		for _, m := range mods {
-			kinds := make([]string, len(m.Class.Kinds))
-			for i, k := range m.Class.Kinds {
-				kinds[i] = string(k)
-			}
-			ops := append([]string(nil), m.Ops...)
-			sort.Strings(ops)
-			fmt.Fprintf(sb, "%s %s [%s] %s\n", m.Name, m.Class.Name,
-				strings.Join(kinds, ""), strings.Join(ops, " "))
+	}
+	cut()
+
+	sb.WriteString("modules\n")
+	mods := append([]*modassign.Module(nil), mb.Modules...)
+	sort.Slice(mods, func(i, j int) bool { return mods[i].Name < mods[j].Name })
+	for _, m := range mods {
+		sb.WriteString(m.Name + " " + m.Class.Name + " [")
+		for _, k := range m.Class.Kinds {
+			sb.WriteString(string(k))
 		}
-	})
-	section(keySectionPorts, func(sb *strings.Builder) {
-		var ports []string
-		for _, v := range g.Vars() {
-			if v.IsPort {
-				ports = append(ports, v.Name)
+		sb.WriteString("] ")
+		ops := append([]string(nil), m.Ops...)
+		sort.Strings(ops)
+		for i, op := range ops {
+			if i > 0 {
+				sb.WriteByte(' ')
 			}
+			sb.WriteString(op)
 		}
-		sort.Strings(ports)
-		fmt.Fprintf(sb, "ports %s\n", strings.Join(ports, " "))
-	})
-	section(keySectionDFG, func(sb *strings.Builder) {
-		sb.WriteString("dfg\n")
-		sb.WriteString(g.Text())
-	})
+		sb.WriteByte('\n')
+	}
+	cut()
+
+	var ports []string
+	for _, v := range g.Vars() {
+		if v.IsPort {
+			ports = append(ports, v.Name)
+		}
+	}
+	sort.Strings(ports)
+	sb.WriteString("ports " + strings.Join(ports, " ") + "\n")
+	cut()
+
+	sb.WriteString("dfg\n")
+	g.WriteText(&sb)
+	cut()
+
+	s := sb.String()
+	out := make([]keySection, len(keySectionOrder))
+	start := 0
+	for i, name := range keySectionOrder {
+		out[i] = keySection{name: name, payload: s[start:ends[i]]}
+		start = ends[i]
+	}
 	return out
 }
 
@@ -501,12 +515,25 @@ func sectionPayload(secs []keySection, name string) string {
 	return ""
 }
 
+// cacheKey computes the canonical content-addressed key for one
+// synthesis request. Everything semantic goes in; Workers, Observer and
+// Cache stay out (the determinism tests prove the former two cannot
+// change the Result). The DFG contributes its canonical text plus the
+// port-input marks the text format omits; the module binding
+// contributes a name-sorted inventory with sorted op lists, so the
+// explicit map and the automatic binder hit the same entry whenever
+// they resolve identically.
 func cacheKey(g *dfg.Graph, mb *modassign.Binding, cfg Config) cache.Key {
-	var sb strings.Builder
-	for _, s := range keySections(g, mb, cfg) {
-		sb.WriteString(s.payload)
+	secs := keySections(g, mb, cfg)
+	n := 0
+	for _, s := range secs {
+		n += len(s.payload)
 	}
-	return cache.Key(sha256.Sum256([]byte(sb.String())))
+	pre := make([]byte, 0, n)
+	for _, s := range secs {
+		pre = append(pre, s.payload...)
+	}
+	return cache.Key(sha256.Sum256(pre))
 }
 
 // cacheEntryJSON is the persistent entry payload. Only the winning
@@ -545,7 +572,7 @@ func encodeCacheEntry(r *Result) ([]byte, error) {
 }
 
 // decodeCacheEntry parses a disk payload into the cached plan + frozen
-// stats that synthesizeCore splices in instead of the BIST search.
+// stats that synthesizePipeline splices in instead of the BIST search.
 func decodeCacheEntry(payload []byte, width int) (*cachedSynthesis, error) {
 	var e cacheEntryJSON
 	if err := json.Unmarshal(payload, &e); err != nil {

@@ -29,7 +29,7 @@ func synthCached(t testing.TB, c *Cache, name string, cfg Config) *Result {
 		t.Fatal(err)
 	}
 	cfg.Cache = c
-	res, err := d.Synthesize(mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +184,45 @@ func TestCacheKeyObjectiveSensitivity(t *testing.T) {
 	}
 }
 
+// cachePolicy is the single predicate deciding both cache use and
+// Session plan splicing. Every Objective × Search × TimeBudget case:
+// single-plan objectives replay unless a wall-clock budget can cut a
+// non-exact search short; Pareto fronts never replay.
+func TestCachePolicy(t *testing.T) {
+	type row struct {
+		noBudget, budget bool // TimeBudget 0, TimeBudget 1s
+	}
+	singlePlan := map[Search]row{
+		SearchExact:      {true, true},
+		SearchAuto:       {true, false},
+		SearchStochastic: {true, false},
+	}
+	want := map[Objective]map[Search]row{
+		MinArea:     singlePlan,
+		WeightedSum: singlePlan,
+		ParetoFront: {
+			SearchExact:      {false, false},
+			SearchAuto:       {false, false},
+			SearchStochastic: {false, false},
+		},
+	}
+	for obj, bySearch := range want {
+		for search, w := range bySearch {
+			for _, budget := range []time.Duration{0, time.Second} {
+				cfg := DefaultConfig()
+				cfg.Objective, cfg.Search, cfg.TimeBudget = obj, search, budget
+				exp := w.noBudget
+				if budget > 0 {
+					exp = w.budget
+				}
+				if got := cachePolicy(cfg); got != exp {
+					t.Errorf("cachePolicy(%s, %s, budget %v) = %t, want %t", obj, search, budget, got, exp)
+				}
+			}
+		}
+	}
+}
+
 // Pareto runs bypass the cache entirely: an entry stores a single plan,
 // not a front, so serving one would silently drop the front.
 func TestCacheParetoBypass(t *testing.T) {
@@ -230,7 +269,7 @@ func TestCacheKeyPortMarks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cache = c
 	for _, port := range []bool{false, true} {
-		if _, err := build(port).SynthesizeAuto(cfg); err != nil {
+		if _, err := build(port).SynthesizeCtx(context.Background(), nil, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +320,7 @@ func TestCacheConcurrentStorm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := d.Synthesize(mods, cfg)
+			res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 			if err != nil {
 				errs <- err
 				return
@@ -318,7 +357,7 @@ func TestCacheBatchCoalesce(t *testing.T) {
 		jobs[i] = Job{Name: "dup", DFG: d, Modules: mods, Config: DefaultConfig()}
 	}
 	c := newTestCache(t, CacheOptions{})
-	results := SynthesizeAll(context.Background(), jobs, BatchOptions{Cache: c})
+	results := runBatch(context.Background(), jobs, BatchOptions{Cache: c})
 	var ref []byte
 	for i, br := range results {
 		if br.Err != nil {
@@ -344,7 +383,7 @@ func TestCacheBatchCoalesce(t *testing.T) {
 	cfg.Cache = own
 	one := []Job{{Name: "own", DFG: d, Modules: mods, Config: cfg}}
 	other := newTestCache(t, CacheOptions{})
-	if br := SynthesizeAll(context.Background(), one, BatchOptions{Cache: other})[0]; br.Err != nil {
+	if br := runBatch(context.Background(), one, BatchOptions{Cache: other})[0]; br.Err != nil {
 		t.Fatal(br.Err)
 	}
 	if st := own.Stats(); st.Misses != 1 {
@@ -505,7 +544,7 @@ func TestCacheWarmBatchSpeedup(t *testing.T) {
 	opts := BatchOptions{Workers: 1, Cache: c}
 
 	start := time.Now()
-	for _, br := range SynthesizeAll(context.Background(), jobs, opts) {
+	for _, br := range runBatch(context.Background(), jobs, opts) {
 		if br.Err != nil {
 			t.Fatal(br.Err)
 		}
@@ -517,7 +556,7 @@ func TestCacheWarmBatchSpeedup(t *testing.T) {
 	warm := time.Duration(1<<63 - 1)
 	for i := 0; i < 3; i++ {
 		start = time.Now()
-		for _, br := range SynthesizeAll(context.Background(), jobs, opts) {
+		for _, br := range runBatch(context.Background(), jobs, opts) {
 			if br.Err != nil {
 				t.Fatal(br.Err)
 			}

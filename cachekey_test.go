@@ -38,9 +38,9 @@ func TestCacheKeyPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Benchmark(%s): %v", p.bench, err)
 		}
-		mb, err := d.moduleBinding(mods)
+		mb, err := bindModules(d.g, mods)
 		if err != nil {
-			t.Fatalf("moduleBinding(%s): %v", p.bench, err)
+			t.Fatalf("bindModules(%s): %v", p.bench, err)
 		}
 		got := fmt.Sprintf("%x", cacheKey(d.g, mb, p.cfg))
 		if got != p.want {
@@ -58,7 +58,7 @@ func TestCacheKeySections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := d.moduleBinding(mods)
+	mb, err := bindModules(d.g, mods)
 	if err != nil {
 		t.Fatal(err)
 	}

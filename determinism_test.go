@@ -33,7 +33,7 @@ func TestResultJSONIdenticalAcrossWorkers(t *testing.T) {
 			}
 			cfg := DefaultConfig()
 			cfg.Workers = workers
-			res, err := d.Synthesize(mods, cfg)
+			res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -66,7 +66,7 @@ func TestCancellationRetryDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Synthesize(mods, DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCancellationRetryDeterministic(t *testing.T) {
 			t.Fatalf("cancelled run %d: %v", run, err)
 		}
 
-		retry, err := d.Synthesize(mods, DefaultConfig())
+		retry, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			t.Fatalf("retry %d after cancellation: %v", run, err)
 		}
@@ -138,7 +138,7 @@ func TestSynthesizeRepeatedlyDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := d.Synthesize(mods, mode.cfg())
+				res, err := d.SynthesizeCtx(context.Background(), mods, mode.cfg())
 				if err != nil {
 					t.Fatalf("%s/%s run %d: %v", name, mode.label, run, err)
 				}

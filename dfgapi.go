@@ -102,11 +102,12 @@ func (d *DFG) AutoScheduleForce(latency int) error {
 	return sched.Apply(d.g, steps)
 }
 
-// SynthesizeCtx is the single core entry point of the synthesis API:
-// every other Synthesize* method is a thin wrapper around it. It runs
-// the full allocation flow — validation, register binding, interconnect
-// binding, data path construction and the BIST search — and returns the
-// completed Result.
+// SynthesizeCtx runs the full allocation flow — validation, register
+// binding, interconnect binding, data path construction and the BIST
+// search — and returns the completed Result. It is the handle-free
+// spelling of Synthesizer.Synthesize with an explicit Config; the
+// multi-objective searches are selected by cfg.Objective (ParetoFront
+// publishes the whole non-dominated plan set in Result.Pareto).
 //
 // opToModule maps operation names to module names (ops sharing a module
 // name share the functional unit; every op must be mapped). A nil map
@@ -125,79 +126,46 @@ func (d *DFG) AutoScheduleForce(latency int) error {
 // its scratch arenas across calls; create an explicit handle with New
 // to control the arenas' lifetime or share a default Config and Cache.
 func (d *DFG) SynthesizeCtx(ctx context.Context, opToModule map[string]string, cfg Config) (*Result, error) {
-	return defaultSynthesizer.synthesizeDFG(ctx, d, opToModule, cfg)
+	return defaultSynthesizer.run(ctx, d.g, opToModule, cfg)
 }
 
-// moduleBinding resolves an explicit op→module map (nil = automatic
-// area-driven binding) into a module binding.
-func (d *DFG) moduleBinding(opToModule map[string]string) (*modassign.Binding, error) {
+// bindModules is the validate-phase precheck every synthesis and every
+// Session.Resynthesize runs before the pipeline: it rejects unscheduled
+// ops first, so explicit and automatic binding both fail with
+// ErrUnscheduled rather than a binder-specific message, then resolves
+// opToModule into a module binding (nil = automatic area-driven binding
+// over one functional-unit class per operation kind).
+func bindModules(g *dfg.Graph, opToModule map[string]string) (*modassign.Binding, error) {
+	for _, o := range g.Ops() {
+		if o.Step == 0 {
+			return nil, phaseError(g.Name, PhaseValidate,
+				fmt.Errorf("%w: op %q", ErrUnscheduled, o.Name))
+		}
+	}
+	var mb *modassign.Binding
+	var err error
 	if opToModule != nil {
-		return modassign.FromMap(d.g, opToModule)
+		mb, err = modassign.FromMap(g, opToModule)
+	} else {
+		kinds := make(map[dfg.Kind]bool)
+		for _, op := range g.Ops() {
+			kinds[op.Kind] = true
+		}
+		var ks []dfg.Kind
+		for k := range kinds {
+			ks = append(ks, k)
+		}
+		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+		classes := make([]modassign.Class, len(ks))
+		for i, k := range ks {
+			classes[i] = modassign.UnitClass(k)
+		}
+		mb, err = modassign.Bind(g, classes)
 	}
-	kinds := make(map[dfg.Kind]bool)
-	for _, op := range d.g.Ops() {
-		kinds[op.Kind] = true
+	if err != nil {
+		return nil, phaseError(g.Name, PhaseValidate, err)
 	}
-	var ks []dfg.Kind
-	for k := range kinds {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	classes := make([]modassign.Class, len(ks))
-	for i, k := range ks {
-		classes[i] = modassign.UnitClass(k)
-	}
-	return modassign.Bind(d.g, classes)
-}
-
-// Synthesize is SynthesizeCtx without cancellation.
-//
-// Deprecated: call SynthesizeCtx with context.Background(), or hold a
-// Synthesizer handle (New) and use its Synthesize method — the handle
-// also carries the Config, the Cache and, through NewSession, the
-// incremental re-synthesis API. This shim forwards unchanged and will
-// not be removed, but new code should not grow onto it.
-func (d *DFG) Synthesize(opToModule map[string]string, cfg Config) (*Result, error) {
-	return d.SynthesizeCtx(context.Background(), opToModule, cfg)
-}
-
-// SynthesizeParetoCtx is SynthesizeCtx with cfg.Objective forced to
-// ParetoFront: the BIST search enumerates every feasible plan and the
-// Result carries the full non-dominated set over (extra area, test
-// sessions, peak test power) in Result.Pareto, with the area-minimal
-// front member reported as the primary plan. Pareto runs always search
-// (the cache stores single plans, so it is bypassed).
-func (d *DFG) SynthesizeParetoCtx(ctx context.Context, opToModule map[string]string, cfg Config) (*Result, error) {
-	cfg.Objective = ParetoFront
-	return d.SynthesizeCtx(ctx, opToModule, cfg)
-}
-
-// SynthesizePareto is SynthesizeParetoCtx without cancellation.
-//
-// Deprecated: call SynthesizeParetoCtx with context.Background(), or
-// use Synthesizer.SynthesizePareto on an explicit handle. This shim
-// forwards unchanged and will not be removed.
-func (d *DFG) SynthesizePareto(opToModule map[string]string, cfg Config) (*Result, error) {
-	return d.SynthesizeParetoCtx(context.Background(), opToModule, cfg)
-}
-
-// SynthesizeAuto is SynthesizeCtx with automatic module binding and no
-// cancellation.
-//
-// Deprecated: a nil opToModule already selects automatic module
-// binding on every entry point — call SynthesizeCtx(ctx, nil, cfg)
-// directly. This shim forwards unchanged and will not be removed.
-func (d *DFG) SynthesizeAuto(cfg Config) (*Result, error) {
-	return d.SynthesizeCtx(context.Background(), nil, cfg)
-}
-
-// SynthesizeAutoCtx is SynthesizeCtx with automatic module binding.
-//
-// Deprecated: call SynthesizeCtx(ctx, nil, cfg) directly — nil
-// opToModule is the automatic-binding spelling on every entry point.
-// This shim forwards unchanged and will not be removed.
-func (d *DFG) SynthesizeAutoCtx(ctx context.Context, cfg Config) (*Result, error) {
-	return d.SynthesizeCtx(ctx, nil, cfg)
+	return mb, nil
 }
 
 // BenchmarkNames lists the built-in DAC'95 evaluation benchmarks.

@@ -265,12 +265,14 @@ func validationError(msg string) error {
 }
 
 // submit admits one job: synchronous validation, registration, queued
-// event, then a goroutine that carries it to a terminal state. During a
+// event, then a goroutine that carries it to a terminal state. It
+// returns the job's view as admitted (queued), taken before the
+// goroutine starts, so the 202 response never races the run. During a
 // drain, submissions are refused with 503.
-func (m *manager) submit(req submitRequest, client string) (*job, error) {
+func (m *manager) submit(req submitRequest, client string) (jobJSON, error) {
 	d, mods, cfg, err := req.resolve()
 	if err != nil {
-		return nil, err
+		return jobJSON{}, err
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -291,14 +293,15 @@ func (m *manager) submit(req submitRequest, client string) (*job, error) {
 	if err := m.admitLocked(j, client); err != nil {
 		m.mu.Unlock()
 		cancel()
-		return nil, err
+		return jobJSON{}, err
 	}
 	m.mu.Unlock()
 
 	expJobsSubmitted.Add(1)
 	j.hub.publishLifecycle(string(StatusQueued), j.id, j.design, false)
+	admitted := j.view(false)
 	go m.run(ctx, j, d, mods, cfg)
-	return j, nil
+	return admitted, nil
 }
 
 // run is the per-job goroutine: wait for a pool slot, synthesize with
@@ -323,7 +326,7 @@ func (m *manager) run(ctx context.Context, j *job, d *bistpath.DFG, mods map[str
 				return
 			}
 		}
-		br = bistpath.RunJob(ctx, bistpath.Job{Name: j.design, DFG: d, Modules: mods, Config: cfg})
+		br = m.srv.synth.RunJob(ctx, bistpath.Job{Name: j.design, DFG: d, Modules: mods, Config: cfg})
 	}()
 	m.finish(j, br)
 }

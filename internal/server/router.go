@@ -77,19 +77,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, &apiError{status: http.StatusBadRequest, msg: "bad request body: " + err.Error()})
 		return
 	}
-	j, err := s.jobs.submit(req, clientKey(r))
+	v, err := s.jobs.submit(req, clientKey(r))
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, submitResponse{
-		jobJSON: j.view(false),
+	writeJSON(w, http.StatusAccepted, accepted(v))
+}
+
+// accepted is the 202 body for an admitted job: its view plus links.
+func accepted(v jobJSON) submitResponse {
+	return submitResponse{
+		jobJSON: v,
 		Links: map[string]string{
-			"self":   "/v1/jobs/" + j.id,
-			"events": "/v1/jobs/" + j.id + "/events",
-			"result": "/v1/jobs/" + j.id + "/result",
+			"self":   "/v1/jobs/" + v.ID,
+			"events": "/v1/jobs/" + v.ID + "/events",
+			"result": "/v1/jobs/" + v.ID + "/result",
 		},
-	})
+	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -7,7 +7,9 @@
 // the wire.
 //
 // Every submission in the process shares one bounded synthesis worker
-// pool (bistpath.Pool) and one result cache, so identical concurrent
+// pool (bistpath.Pool), one synthesis handle (bistpath.Synthesizer,
+// whose scratch arenas POST jobs and PATCH sessions both draw from) and
+// one result cache, so identical concurrent
 // submissions coalesce onto a single synthesis via the cache's
 // singleflight and warm duplicates are served without re-searching.
 //
@@ -75,7 +77,7 @@ type Server struct {
 	opts     Options
 	pool     *bistpath.Pool
 	cache    *bistpath.Cache
-	synth    *bistpath.Synthesizer // hosts the PATCH route's incremental sessions
+	synth    *bistpath.Synthesizer // runs POST jobs and hosts PATCH sessions
 	jobs     *manager
 	handler  http.Handler
 	draining atomic.Bool

@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// paretoConfig returns cfg under the ParetoFront objective.
+func paretoConfig(cfg Config) Config {
+	cfg.Objective = ParetoFront
+	return cfg
+}
+
 // synthPareto synthesizes one benchmark under the ParetoFront objective.
 func synthPareto(t *testing.T, name string, cfg Config) *Result {
 	t.Helper()
@@ -15,9 +21,9 @@ func synthPareto(t *testing.T, name string, cfg Config) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.SynthesizePareto(mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, paretoConfig(cfg))
 	if err != nil {
-		t.Fatalf("%s: SynthesizePareto: %v", name, err)
+		t.Fatalf("%s: pareto synthesis: %v", name, err)
 	}
 	return res
 }
@@ -83,7 +89,7 @@ func TestParetoPrimaryPlanMatchesMinArea(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := d.Synthesize(mods, DefaultConfig())
+		single, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +121,7 @@ func TestSynthesizeWeighted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Objective = WeightedSum
 	cfg.Weights = Weights{Area: 1, TestTime: 200, PeakPower: 0}
-	res, err := d.Synthesize(mods, cfg)
+	res, err := d.SynthesizeCtx(context.Background(), mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +152,7 @@ func TestSynthesizeWeighted(t *testing.T) {
 	// degenerating into "everything costs nothing".
 	balanced := DefaultConfig()
 	balanced.Objective = WeightedSum
-	bres, err := d.Synthesize(mods, balanced)
+	bres, err := d.SynthesizeCtx(context.Background(), mods, balanced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +169,7 @@ func TestMinAreaResultHasNoObjectiveFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Synthesize(mods, DefaultConfig())
+	res, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +205,7 @@ func TestBadObjectiveConfigs(t *testing.T) {
 	for i, mut := range bad {
 		cfg := DefaultConfig()
 		mut(&cfg)
-		if _, err := d.Synthesize(mods, cfg); !errors.Is(err, ErrBadObjective) {
+		if _, err := d.SynthesizeCtx(context.Background(), mods, cfg); !errors.Is(err, ErrBadObjective) {
 			t.Errorf("bad config %d returned %v, want ErrBadObjective", i, err)
 		}
 	}
@@ -225,7 +231,7 @@ func TestParetoRandomSweepOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, err := d.SynthesizePareto(mods, DefaultConfig())
+		res, err := d.SynthesizeCtx(context.Background(), mods, paretoConfig(DefaultConfig()))
 		if err != nil {
 			if errors.Is(err, ErrNoEmbedding) {
 				continue

@@ -3,6 +3,7 @@ package bistpath
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -100,30 +101,6 @@ func overlapMatrix(g *dfg.Graph) ([]string, []bool, error) {
 	return vars, m, nil
 }
 
-func stringsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func boolsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // NewSession opens an incremental re-synthesis session on d with the
 // handle's default configuration. opToModule has DFG.SynthesizeCtx
 // semantics (nil = automatic module binding); both the DFG and the map
@@ -147,12 +124,7 @@ func (s *Synthesizer) NewSessionConfig(d *DFG, opToModule map[string]string, cfg
 	}
 	// Normalize once so the sectioned fingerprints computed across the
 	// session's lifetime agree with what the pipeline actually runs.
-	if cfg.Width == 0 {
-		cfg.Width = 8
-	}
-	if cfg.Objective == WeightedSum && cfg.Weights == (Weights{}) {
-		cfg.Weights = Weights{Area: 1, TestTime: 1, PeakPower: 1}
-	}
+	cfg = normalizeConfig(cfg)
 	cfg.Cache = nil
 	var m map[string]string
 	if opToModule != nil {
@@ -284,20 +256,6 @@ func (ss *Session) RetimePort(name string, port bool) error {
 	})
 }
 
-// sectionsEqual reports whether two sectioned fingerprints are
-// identical (same sections in the same order with the same payloads).
-func sectionsEqual(a, b []keySection) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // allPhaseNames is the full pipeline in order — what a replayed run
 // reports as reused.
 func allPhaseNames() []string {
@@ -335,24 +293,17 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 		return res, err
 	}
 
-	// Mirror synthesizeDFG's front door: the step-0 precheck, then the
-	// module binding, both attributed to the validate phase.
-	for _, o := range ss.g.Ops() {
-		if o.Step == 0 {
-			return nil, phaseError(ss.g.Name, PhaseValidate,
-				fmt.Errorf("%w: op %q", ErrUnscheduled, o.Name))
-		}
-	}
-	mb, err := (&DFG{g: ss.g}).moduleBinding(ss.opToModule)
+	// The same step-0 precheck and module binding as Synthesizer.run.
+	mb, err := bindModules(ss.g, ss.opToModule)
 	if err != nil {
-		return nil, phaseError(ss.g.Name, PhaseValidate, err)
+		return nil, err
 	}
 
 	// Diff the sectioned fingerprint against the previous run. Full
 	// equality means no edit reached the pipeline's inputs (e.g. a step
 	// edit that was immediately undone): replay the previous Result.
 	secs := keySections(ss.g, mb, ss.cfg)
-	if prev := ss.prev; prev != nil && sectionsEqual(secs, prev.secs) {
+	if prev := ss.prev; prev != nil && slices.Equal(secs, prev.secs) {
 		res := prev.result.clone()
 		st := res.Stats // the populating run's stats, replayed
 		st.ReusedPhases = allPhaseNames()
@@ -369,21 +320,9 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 	// artifacts offered for reuse. The pipeline's own finer-grained
 	// checks (binder fingerprint, data-path structural fingerprint,
 	// plan revalidation) decide phase by phase what actually survives.
-	var reuse *phaseReuse
-	if prev := ss.prev; prev != nil {
-		reuse = &phaseReuse{
-			bindFP:      prev.arts.bindFP,
-			haveBindFP:  prev.arts.haveBindFP,
-			rb:          prev.arts.rb,
-			bindMetrics: prev.arts.bindMetrics,
-			trace:       prev.arts.trace,
-
-			dpFP:           prev.arts.dpFP,
-			plan:           prev.arts.plan,
-			searchMetrics:  prev.arts.searchMetrics,
-			searchStrategy: prev.arts.searchStrategy,
-			forced:         prev.arts.forced,
-		}
+	var reuse *phaseArtifacts
+	if ss.prev != nil {
+		reuse = &ss.prev.arts
 	}
 	var art phaseArtifacts
 	// The pipeline runs on a private snapshot so Results handed out
@@ -419,13 +358,13 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 
 // fastReschedule is the steps-only fast path of Resynthesize (which
 // holds ss.mu). It applies when every pending delta is a SetStep, the
-// previous run captured a complete artifact set, and the configuration
-// keeps plans spliceable. If the edited schedule preserves the
-// lifetime-overlap matrix — the only channel through which control
-// steps reach the register binder — then the register binding,
-// interconnect, netlist and BIST plan are all provably unchanged, and
-// the run reduces to validation plus rebuilding the control program on
-// the previous netlist (Datapath.WithSchedule).
+// previous run captured a complete artifact set, and cachePolicy lets
+// the configuration's plans be spliced. If the edited schedule
+// preserves the lifetime-overlap matrix — the only channel through
+// which control steps reach the register binder — then the register
+// binding, interconnect, netlist and BIST plan are all provably
+// unchanged, and the run reduces to validation plus rebuilding the
+// control program on the previous netlist (Datapath.WithSchedule).
 //
 // handled=false falls through to the general path, which re-derives
 // everything through its own fingerprint ladder. handled=true with an
@@ -433,7 +372,7 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 // (validation failure), leaving the pending deltas in place.
 func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, err error) {
 	prev := ss.prev
-	if prev == nil || len(ss.deltas) == 0 || !planSpliceable(ss.cfg) {
+	if prev == nil || len(ss.deltas) == 0 || !cachePolicy(ss.cfg) {
 		return nil, false, nil
 	}
 	if prev.mb == nil || prev.overlaps == nil || prev.arts.dp == nil ||
@@ -456,7 +395,7 @@ func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, e
 	if err != nil {
 		return nil, false, nil // let the general path surface it
 	}
-	if !stringsEqual(vars, prev.allocVars) || !boolsEqual(m, prev.overlaps) {
+	if !slices.Equal(vars, prev.allocVars) || !slices.Equal(m, prev.overlaps) {
 		return nil, false, nil // overlaps moved: the binder must re-run
 	}
 

@@ -127,13 +127,23 @@ func TestSessionReplaysUnchangedDesign(t *testing.T) {
 }
 
 func TestSessionConflictPreservingEditReusesBindAndPlan(t *testing.T) {
+	for _, tc := range sessionObjectives() {
+		t.Run(tc.name, func(t *testing.T) { conflictPreservingEdit(t, tc.cfg) })
+	}
+}
+
+// conflictPreservingEdit checks, under cfg, that conflict-preserving step
+// edits reuse the register binding and splice the BIST plan on both
+// Session paths — the reschedule fast path and the full pipeline — and
+// stay identical to a from-scratch synthesis of the edited design.
+func conflictPreservingEdit(t *testing.T, cfg Config) {
 	s := New(DefaultConfig())
 	defer s.Close()
 	d, mods, err := Benchmark("ex1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := s.NewSession(d, mods)
+	ss, err := s.NewSessionConfig(d, mods, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +151,32 @@ func TestSessionConflictPreservingEditReusesBindAndPlan(t *testing.T) {
 	if _, err := ss.Resynthesize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	check := func(label string, step int, res *Result) {
+		t.Helper()
+		if !hasPhase(res.Stats, PhaseRegisterBind) {
+			t.Errorf("%s: register-bind not reused: %v", label, res.Stats.ReusedPhases)
+		}
+		if !hasPhase(res.Stats, PhaseBISTSearch) {
+			t.Errorf("%s: bist-search not spliced: %v", label, res.Stats.ReusedPhases)
+		}
+		if res.Stats.IncrementalSpeedup <= 0 {
+			t.Errorf("%s: no IncrementalSpeedup recorded: %v", label, res.Stats.IncrementalSpeedup)
+		}
+		// The incremental result must match a from-scratch synthesis of
+		// the edited design exactly.
+		ref := &DFG{g: d.g.Clone()}
+		ref.g.Op("mul2").Step = step
+		want, err := ref.SynthesizeCtx(context.Background(), mods, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, label, res, want)
+	}
 
 	// Moving mul2 from step 4 to 5 preserves every lifetime overlap and
 	// the data-path structure (established by the incremental CI gate's
-	// benchmark design), so both expensive phases must be reused.
+	// benchmark design), so both expensive phases must be reused — here
+	// by the steps-only fast path.
 	if err := ss.SetStep("mul2", 5); err != nil {
 		t.Fatal(err)
 	}
@@ -152,25 +184,22 @@ func TestSessionConflictPreservingEditReusesBindAndPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasPhase(warm.Stats, PhaseRegisterBind) {
-		t.Errorf("register-bind not reused: %v", warm.Stats.ReusedPhases)
-	}
-	if !hasPhase(warm.Stats, PhaseBISTSearch) {
-		t.Errorf("bist-search not spliced: %v", warm.Stats.ReusedPhases)
-	}
-	if warm.Stats.IncrementalSpeedup <= 0 {
-		t.Errorf("no IncrementalSpeedup recorded: %v", warm.Stats.IncrementalSpeedup)
-	}
+	check("mul2@5", 5, warm)
 
-	// The incremental result must match a from-scratch synthesis of the
-	// edited design exactly.
-	ref := &DFG{g: d.g.Clone()}
-	ref.g.Op("mul2").Step = 5
-	want, err := ref.SynthesizeCtx(context.Background(), mods, DefaultConfig())
+	// Moving it back alongside a no-op ReplaceOp keeps the fast path out,
+	// so the pipeline's own fingerprint ladder must reuse the binding
+	// and splice the plan.
+	if err := ss.SetStep("mul2", 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.ReplaceOp("mul2", string(d.g.Op("mul2").Kind)); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ss.Resynthesize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "mul2@5", warm, want)
+	check("mul2@4 via pipeline", 4, back)
 }
 
 func TestSessionMutatorValidation(t *testing.T) {
@@ -359,15 +388,40 @@ func applyRandomEdit(t *testing.T, rng *rand.Rand, ss *Session, mirror *DFG, mir
 	return true
 }
 
-// TestSessionDifferentialRandomEdits is the tentpole's property test:
+// TestSessionDifferentialRandomEdits is the Session property test:
 // over random designs and random edit scripts, every Resynthesize must
 // be indistinguishable (stats aside) from a from-scratch synthesis of
 // the identically edited mirror design — including agreeing on whether
-// the edited design is synthesizable at all.
+// the edited design is synthesizable at all. It runs under the area
+// objective and under WeightedSum, whose plans cachePolicy also lets a
+// session splice.
 func TestSessionDifferentialRandomEdits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep skipped in -short mode")
 	}
+	for _, tc := range sessionObjectives() {
+		t.Run(tc.name, func(t *testing.T) { sessionDifferential(t, tc.cfg) })
+	}
+}
+
+// sessionObjectives are the configurations the Session reuse tests run
+// under: the paper's area objective and a WeightedSum objective.
+func sessionObjectives() []struct {
+	name string
+	cfg  Config
+} {
+	weighted := DefaultConfig()
+	weighted.Objective = WeightedSum
+	weighted.Weights = Weights{Area: 1, TestTime: 3, PeakPower: 2}
+	return []struct {
+		name string
+		cfg  Config
+	}{{"area", DefaultConfig()}, {"weighted", weighted}}
+}
+
+// sessionDifferential runs the differential sweep under cfg.
+func sessionDifferential(t *testing.T, cfg Config) {
+	t.Helper()
 	s := New(DefaultConfig())
 	defer s.Close()
 	for seed := int64(1); seed <= 6; seed++ {
@@ -375,7 +429,7 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ss, err := s.NewSession(d, mods)
+		ss, err := s.NewSessionConfig(d, mods, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -390,7 +444,7 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 				applyRandomEdit(t, rng, ss, mirror, mirrorMods)
 			}
 			got, errGot := ss.Resynthesize(context.Background())
-			want, errWant := mirror.SynthesizeCtx(context.Background(), mirrorMods, DefaultConfig())
+			want, errWant := mirror.SynthesizeCtx(context.Background(), mirrorMods, cfg)
 			if (errGot == nil) != (errWant == nil) {
 				t.Fatalf("seed %d round %d: incremental err %v, from-scratch err %v\ndesign:\n%s",
 					seed, round, errGot, errWant, mirror.Text())

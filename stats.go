@@ -167,8 +167,8 @@ const (
 	// full synthesis. Phase events still precede it for disk-layer hits
 	// (the cheap phases re-run), but never a PhaseBISTSearch pair.
 	CacheHit
-	// PanicRecovered fires once when the batch layer (SynthesizeAll,
-	// Pool.Do, RunJob) recovers a panic inside a job's synthesis. It is
+	// PanicRecovered fires once when the batch layer (Synthesizer.RunJob,
+	// hence SynthesizeAll) recovers a panic inside a job's synthesis. It is
 	// the terminal event of that run: the panic unwound past the
 	// pipeline, so no further phase events can follow, and observers
 	// that stream progress (e.g. SSE subscribers) must not be left

@@ -3,15 +3,10 @@ package bistpath
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"bistpath/internal/bist"
 	"bistpath/internal/dfg"
-	"bistpath/internal/modassign"
 	"bistpath/internal/regassign"
 )
 
@@ -35,21 +30,19 @@ func newSynthScratch() *synthScratch {
 }
 
 // Synthesizer is a reusable synthesis handle: it owns the scratch arenas
-// the pipeline's hot phases allocate from, the cache handle applied to
-// runs that bring none of their own, and the worker pools bound to it
-// via Synthesizer.NewPool. Reusing one handle across runs makes the
-// steady-state pipeline essentially allocation-free — the first run
-// warms the arenas, subsequent runs recycle them — while keeping every
-// Result byte-identical to a fresh-handle run (the determinism tests
-// assert exactly this).
+// the pipeline's hot phases allocate from and the cache handle applied
+// to runs that bring none of their own. Reusing one handle across runs
+// makes the steady-state pipeline essentially allocation-free — the
+// first run warms the arenas, subsequent runs recycle them — while
+// keeping every Result byte-identical to a fresh-handle run (the
+// determinism tests assert exactly this).
 //
 // A Synthesizer is safe for concurrent use: concurrent runs draw
-// distinct scratches from the freelist. The free functions
-// (DFG.SynthesizeCtx, SynthesizeAll, RunJob) and NewPool are thin
-// wrappers over a package-default handle, so ordinary callers get arena
-// reuse without managing a handle; create an explicit one to control
-// the default Config, share a Cache, or bound the handle's lifetime
-// with Close.
+// distinct scratches from the freelist. DFG.SynthesizeCtx runs on a
+// package-default handle, so ordinary callers get arena reuse without
+// managing one; create an explicit handle to control the default
+// Config, share a Cache, run batches (SynthesizeAll, RunJob), open
+// incremental Sessions, or bound the handle's lifetime with Close.
 type Synthesizer struct {
 	cfg Config
 
@@ -115,169 +108,46 @@ func (s *Synthesizer) Synthesize(ctx context.Context, d *DFG, opToModule map[str
 	if d == nil {
 		return nil, ErrNoDFG
 	}
-	return s.synthesizeDFG(ctx, d, opToModule, s.cfg)
+	return s.run(ctx, d.g, opToModule, s.cfg)
 }
 
-// SynthesizePareto runs the full pipeline with the handle's
-// configuration under the ParetoFront objective: the Result carries the
-// non-dominated plan set in Result.Pareto, exactly as
-// DFG.SynthesizeParetoCtx.
+// SynthesizePareto is Synthesize under the ParetoFront objective: the
+// Result carries the non-dominated plan set in Result.Pareto, with the
+// area-minimal front member reported as the primary plan.
 func (s *Synthesizer) SynthesizePareto(ctx context.Context, d *DFG, opToModule map[string]string) (*Result, error) {
 	if d == nil {
 		return nil, ErrNoDFG
 	}
 	cfg := s.cfg
 	cfg.Objective = ParetoFront
-	return s.synthesizeDFG(ctx, d, opToModule, cfg)
+	return s.run(ctx, d.g, opToModule, cfg)
 }
 
-// SynthesizeAll synthesizes every job on a bounded worker pool drawing
-// scratch arenas from this handle, with the exact semantics of the free
-// SynthesizeAll (job-order results, prompt cancellation, per-job panic
-// recovery).
-func (s *Synthesizer) SynthesizeAll(ctx context.Context, jobs []Job, opts BatchOptions) []BatchResult {
-	results, _ := s.SynthesizeAllStats(ctx, jobs, opts)
-	return results
-}
-
-// SynthesizeAllStats is Synthesizer.SynthesizeAll plus pool-utilization
-// accounting for the run.
-func (s *Synthesizer) SynthesizeAllStats(ctx context.Context, jobs []Job, opts BatchOptions) ([]BatchResult, BatchStats) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([]BatchResult, len(jobs))
-	if len(jobs) == 0 {
-		return results, BatchStats{}
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	start := time.Now()
-	var busy atomic.Int64
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				job := jobs[i]
-				if job.Config.Cache == nil {
-					job.Config.Cache = opts.Cache
-				}
-				results[i] = s.runJob(ctx, job)
-				busy.Add(int64(results[i].Duration))
-			}
-		}()
-	}
-	// Feed job indices until done or cancelled; on cancellation the
-	// remaining unstarted jobs fail promptly with ctx.Err().
-	cancelled := -1
-feed:
-	for i := range jobs {
-		select {
-		case <-ctx.Done():
-			cancelled = i
-			break feed
-		case idx <- i:
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if cancelled >= 0 {
-		for i := cancelled; i < len(jobs); i++ {
-			results[i] = BatchResult{Name: jobName(jobs[i]), Err: ctx.Err()}
-		}
-	}
-	expBatchJobs.Add(int64(len(jobs)))
-	return results, BatchStats{
-		Workers: workers,
-		Wall:    time.Since(start),
-		Busy:    time.Duration(busy.Load()),
-	}
-}
-
-// NewPool creates a worker pool whose Do runs jobs through this handle
-// (0 or negative workers = runtime.GOMAXPROCS(0)).
-func (s *Synthesizer) NewPool(workers int) *Pool {
-	p := NewPool(workers)
-	p.synth = s
-	return p
-}
-
-// runJob is the per-job execution primitive behind RunJob, Pool.Do and
-// the batch workers: RunJob's semantics (panic recovery, cancellation,
-// Duration accounting) with this handle's scratch arenas and cache.
-func (s *Synthesizer) runJob(ctx context.Context, j Job) (br BatchResult) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	br.Name = jobName(j)
-	start := time.Now()
-	defer func() {
-		br.Duration = time.Since(start)
-		if r := recover(); r != nil {
-			br.Result = nil
-			br.Err = fmt.Errorf("bistpath: job %q panicked: %v", br.Name, r)
-			notifyPanicRecovered(j.Config.Observer, br.Name)
-		}
-	}()
-	if err := ctx.Err(); err != nil {
-		br.Err = err
-		return br
-	}
-	if j.DFG == nil {
-		br.Err = ErrNoDFG
-		return br
-	}
-	cfg := j.Config
-	if cfg.Cache == nil {
-		cfg.Cache = s.cfg.Cache
-	}
-	br.Result, br.Err = s.synthesizeDFG(ctx, j.DFG, j.Modules, cfg)
-	return br
-}
-
-// synthesizeDFG resolves the module binding and runs the pipeline with a
-// scratch from the handle's freelist. It is the single core path every
-// public entry point funnels through.
-func (s *Synthesizer) synthesizeDFG(ctx context.Context, d *DFG, opToModule map[string]string, cfg Config) (*Result, error) {
-	// Catch unscheduled graphs before module binding so both the explicit
-	// and automatic paths fail with ErrUnscheduled rather than a
-	// binder-specific message.
-	for _, o := range d.g.Ops() {
-		if o.Step == 0 {
-			return nil, phaseError(d.g.Name, PhaseValidate,
-				fmt.Errorf("%w: op %q", ErrUnscheduled, o.Name))
-		}
-	}
-	mb, err := d.moduleBinding(opToModule)
+// run is the front door every synthesis passes through: DFG.SynthesizeCtx,
+// Synthesize, SynthesizePareto and RunJob (hence SynthesizeAll). It
+// normalizes cfg, runs the step-0 precheck and module binding, and then,
+// under the handle's lifetime, serves the request from cfg.Cache when
+// cachePolicy allows or runs the pipeline directly.
+func (s *Synthesizer) run(ctx context.Context, g *dfg.Graph, opToModule map[string]string, cfg Config) (*Result, error) {
+	cfg = normalizeConfig(cfg)
+	mb, err := bindModules(g, opToModule)
 	if err != nil {
-		return nil, phaseError(d.g.Name, PhaseValidate, err)
+		return nil, err
 	}
-	return s.run(ctx, d.g, mb, cfg)
-}
-
-// run executes one synthesis under the handle's lifetime: it registers
-// the run's cancel so Close can abort it at its next context poll and
-// wait for it to unwind, and loans the run a scratch.
-func (s *Synthesizer) run(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config) (*Result, error) {
 	return s.runWith(ctx, func(ctx context.Context, sc *synthScratch) (*Result, error) {
-		return synthesize(ctx, g, mb, cfg, sc)
+		if cfg.Cache != nil && cachePolicy(cfg) {
+			return cfg.Cache.synthesize(ctx, g, mb, cfg, sc)
+		}
+		return synthesizePipeline(ctx, g, mb, cfg, pipeExtras{sc: sc})
 	})
 }
 
-// runWith is run generalized over the pipeline invocation: the lifetime
-// bookkeeping (inflight cancel registration, scratch loan, closed-handle
-// error mapping) around an arbitrary do. Session.Resynthesize uses it to
-// call synthesizePipeline directly with its reuse/capture attachments
-// while still honoring Close.
+// runWith executes one synthesis under the handle's lifetime: it
+// registers the run's cancel so Close can abort it at its next context
+// poll and wait for it to unwind, loans do a scratch, and maps an abort
+// by Close to ErrSynthesizerClosed. Session.Resynthesize uses it to call
+// synthesizePipeline with its reuse/capture attachments while still
+// honoring Close.
 func (s *Synthesizer) runWith(ctx context.Context, do func(context.Context, *synthScratch) (*Result, error)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -339,8 +209,6 @@ func (s *Synthesizer) putScratch(sc *synthScratch) {
 	s.mu.Unlock()
 }
 
-// defaultSynthesizer backs the free functions and NewPool, so every
-// caller — including the bistpathd daemon, whose jobs funnel through
-// RunJob — amortizes pipeline allocations across runs without managing
-// a handle. It is never closed.
+// defaultSynthesizer backs DFG.SynthesizeCtx, so handle-free callers
+// amortize pipeline allocations across runs too. It is never closed.
 var defaultSynthesizer = New(DefaultConfig())

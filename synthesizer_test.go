@@ -55,7 +55,7 @@ func TestSynthesizerConcurrentReuse(t *testing.T) {
 	s := New(DefaultConfig())
 	defer s.Close()
 	jobs := benchJobs(t)
-	want := reportsOf(t, SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 1}))
+	want := reportsOf(t, runBatch(context.Background(), jobs, BatchOptions{Workers: 1}))
 
 	const rounds = 4
 	var wg sync.WaitGroup
@@ -64,7 +64,7 @@ func TestSynthesizerConcurrentReuse(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			rs := s.SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 4})
+			rs, _ := s.SynthesizeAll(context.Background(), jobs, BatchOptions{Workers: 4})
 			out := make([]string, len(rs))
 			for i, br := range rs {
 				if br.Err != nil {
@@ -126,8 +126,8 @@ func TestSynthesizerClosed(t *testing.T) {
 	if _, err := s.Synthesize(context.Background(), d, mods); !errors.Is(err, ErrSynthesizerClosed) {
 		t.Fatalf("Synthesize after Close = %v, want ErrSynthesizerClosed", err)
 	}
-	if br := s.NewPool(1).Do(context.Background(), Job{DFG: d, Modules: mods, Config: DefaultConfig()}); !errors.Is(br.Err, ErrSynthesizerClosed) {
-		t.Fatalf("Pool.Do after Close = %v, want ErrSynthesizerClosed", br.Err)
+	if br := s.RunJob(context.Background(), Job{DFG: d, Modules: mods, Config: DefaultConfig()}); !errors.Is(br.Err, ErrSynthesizerClosed) {
+		t.Fatalf("RunJob after Close = %v, want ErrSynthesizerClosed", br.Err)
 	}
 }
 
@@ -185,11 +185,10 @@ func TestSynthesizerCloseMidFlight(t *testing.T) {
 		t.Fatal("Close wedged waiting for in-flight run")
 	}
 
-	// The daemon path (RunJob on the package-default handle) is
-	// unaffected by closing an explicit handle.
-	br := RunJob(context.Background(), Job{DFG: d, Modules: mods, Config: DefaultConfig()})
-	if br.Err != nil {
-		t.Fatalf("default-handle RunJob after explicit Close: %v", br.Err)
+	// The package-default handle behind DFG.SynthesizeCtx is unaffected
+	// by closing an explicit handle.
+	if _, err := d.SynthesizeCtx(context.Background(), mods, DefaultConfig()); err != nil {
+		t.Fatalf("default-handle SynthesizeCtx after explicit Close: %v", err)
 	}
 }
 
@@ -209,28 +208,33 @@ func TestSynthesizerCallerContextWins(t *testing.T) {
 	}
 }
 
-// Pools bound to an explicit handle keep their slot discipline across a
-// mid-flight Close: Do returns, Acquire/Release still work.
+// A Pool used around a handle's RunJob keeps its slot discipline across
+// the handle's Close: the job on the closed handle fails with
+// ErrSynthesizerClosed, its slot comes back, and Acquire/Release still
+// work.
 func TestSynthesizerPoolSurvivesClose(t *testing.T) {
 	s := New(DefaultConfig())
-	p := s.NewPool(2)
+	p := NewPool(2)
 	d, mods, err := Benchmark("ex1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br := p.Do(context.Background(), Job{DFG: d, Modules: mods, Config: DefaultConfig()}); br.Err != nil {
+	job := Job{DFG: d, Modules: mods, Config: DefaultConfig()}
+	if br := poolRun(p, s, context.Background(), job); br.Err != nil {
 		t.Fatal(br.Err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	for i := 0; i < 3; i++ { // more jobs than slots: each must release
+		if br := poolRun(p, s, context.Background(), job); !errors.Is(br.Err, ErrSynthesizerClosed) {
+			t.Fatalf("RunJob after Close = %v, want ErrSynthesizerClosed", br.Err)
+		}
+	}
 	if err := p.Acquire(context.Background()); err != nil {
 		t.Fatalf("Acquire after Close: %v", err)
 	}
 	p.Release()
-	if br := p.Do(context.Background(), Job{DFG: d, Modules: mods, Config: DefaultConfig()}); !errors.Is(br.Err, ErrSynthesizerClosed) {
-		t.Fatalf("Do after Close = %v, want ErrSynthesizerClosed", br.Err)
-	}
 }
 
 // The handle's Config.Cache is inherited by jobs that bring none of
@@ -249,10 +253,11 @@ func TestSynthesizerCacheInheritance(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := Job{DFG: d, Modules: mods, Config: DefaultConfig()} // no cache of its own
-	if br := s.SynthesizeAll(context.Background(), []Job{job}, BatchOptions{})[0]; br.Err != nil {
-		t.Fatal(br.Err)
+	// The batch path fills the cache; RunJob, the per-job path, hits it.
+	if rs, _ := s.SynthesizeAll(context.Background(), []Job{job}, BatchOptions{}); rs[0].Err != nil {
+		t.Fatal(rs[0].Err)
 	}
-	br := s.SynthesizeAll(context.Background(), []Job{job}, BatchOptions{})[0]
+	br := s.RunJob(context.Background(), job)
 	if br.Err != nil {
 		t.Fatal(br.Err)
 	}
