@@ -17,12 +17,14 @@ type embRef struct{ l, r, t int32 }
 // searchArena is one worker's search state: per-register duty counters
 // indexed by interned register id, the current partial assignment
 // (embedding index per module position) and the worker's incumbent
-// assignment. Arenas live on a Scratch freelist and are recycled across
-// searches; size re-dimensions one for the current problem.
+// assignment, plus the session scheduler's reused member lists. Arenas
+// live on a Scratch freelist and are recycled across searches; size
+// re-dimensions one for the current problem.
 type searchArena struct {
-	tpg, sa, cb []int32 // duty counters per interned register
-	cur         []int32 // embedding index per module position
-	bestCur     []int32 // incumbent assignment
+	tpg, sa, cb []int32   // duty counters per interned register
+	cur         []int32   // embedding index per module position
+	bestCur     []int32   // incumbent assignment
+	sess        [][]int32 // session member lists (see schedule)
 }
 
 func (a *searchArena) size(nregs, nmods int) {
@@ -54,6 +56,8 @@ type Scratch struct {
 	embStore [][]Embedding
 	refStore [][]embRef
 	costs    []int
+	byName   []int32 // module positions in name order
+	power    []int   // Pareto power weight per module position
 }
 
 // NewScratch returns an empty reusable optimizer scratch.

@@ -80,9 +80,9 @@ type Options struct {
 	// not block.
 	Progress func(nodes int64)
 	// Scratch, when non-nil, supplies the reusable search arenas and
-	// enumeration buffers; successive Optimize calls sharing one Scratch
-	// run essentially allocation-free. One Optimize call at a time per
-	// Scratch.
+	// enumeration buffers; successive Optimize or OptimizePareto calls
+	// sharing one Scratch run essentially allocation-free. One call at
+	// a time per Scratch.
 	Scratch *Scratch
 	// Power carries per-module active-power weight overrides for the
 	// multi-objective search (see PowerWeights); modules absent from the
@@ -194,16 +194,17 @@ func packBound(cost, branch int) int64 { return int64(cost)<<32 | int64(branch) 
 func unpackBound(p int64) (cost, branch int) { return int(p >> 32), int(p & 0xffffffff) }
 
 // searchSpace is the prepared per-call search state shared by the exact
-// branch and bound and the stochastic search: modules ordered
-// most-constrained first, each module's embeddings cost-sorted, registers
-// interned to small ids and the compact refs built, with the style
-// upgrade costs pre-resolved from the area model so duty counters
+// branch and bound, the Pareto walk and the stochastic search: modules
+// ordered most-constrained first, each module's embeddings cost-sorted,
+// registers interned to small ids and the compact refs built, with the
+// style upgrade costs pre-resolved from the area model so duty counters
 // translate to cost without a Model call per touch. Everything here is a
 // pure function of the data path and options, never of construction
-// order — both searches' determinism contracts depend on that.
+// order — every search's determinism contract depends on that.
 type searchSpace struct {
 	mods     []modEmb
 	refs     [][]embRef // compact embeddings, parallel to mods
+	byName   []int32    // module positions in name order (ScheduleSessions' order)
 	nregs    int        // interned register count
 	embTotal int64      // candidate embeddings across modules
 
@@ -287,8 +288,22 @@ func prepareSpace(dp *datapath.Datapath, opts Options, sc *Scratch) (searchSpace
 		}
 		refs[i] = rr
 	}
+	// The session scheduler visits modules in name order; names are
+	// unique, so the insertion sort is a total order.
+	byName := growInt32(sc.byName, len(mods))
+	for i := range byName {
+		p := int32(i)
+		j := i - 1
+		for j >= 0 && mods[byName[j]].name > mods[p].name {
+			byName[j+1] = byName[j]
+			j--
+		}
+		byName[j+1] = p
+	}
+	sc.byName = byName
 	sp.mods = mods
 	sp.refs = refs
+	sp.byName = byName
 	sp.nregs = len(sc.regNames)
 	return sp, nil
 }
@@ -308,10 +323,9 @@ func (sp *searchSpace) embeddingsOf(genome []int32) map[string]Embedding {
 // duty counters, partial assignment and incumbent so no search state needs
 // locking.
 type search struct {
+	searchSpace
 	ctx       context.Context
 	opts      Options
-	mods      []modEmb
-	refs      [][]embRef   // compact embeddings, parallel to mods
 	bound     atomic.Int64 // packed (cost, branch) of the best complete solution
 	nodes     atomic.Int64 // nodes expanded, across all workers
 	inexact   atomic.Bool  // node budget exhausted somewhere
@@ -333,11 +347,11 @@ type solution struct {
 // dutyEval tracks the upgrade cost of a partial embedding assignment
 // incrementally over an arena's interned duty counters: applying or
 // undoing one embedding touches three int32 counters and folds the cost
-// delta into cost. It is the one cost evaluator both searches share —
-// the branch-and-bound workers embed it, and the stochastic search's
-// genome evaluations, greedy seeding and annealing moves all run
-// through the same apply/undo pair, so a cost bug cannot hide in a
-// search-specific reimplementation.
+// delta into cost. It is the one cost evaluator every search shares —
+// the branch-and-bound workers and the Pareto walk embed it, and the
+// stochastic search's genome evaluations, greedy seeding and annealing
+// moves all run through the same apply/undo pair, so a cost bug cannot
+// hide in a search-specific reimplementation.
 type dutyEval struct {
 	a    *searchArena
 	cost int
@@ -479,17 +493,6 @@ type worker struct {
 	incumbents int64
 }
 
-// curEmbeddings materializes the worker's current assignment as the
-// embedding map the session scheduler consumes (MinimizeSessions leaves
-// only).
-func (w *worker) curEmbeddings() map[string]Embedding {
-	out := make(map[string]Embedding, len(w.sh.mods))
-	for i, m := range w.sh.mods {
-		out[m.name] = m.embs[w.a.cur[i]]
-	}
-	return out
-}
-
 func (w *worker) dfs(i int) {
 	sh := w.sh
 	n := sh.nodes.Add(1)
@@ -545,7 +548,7 @@ func (w *worker) leaf(cost int) {
 		if w.best.ok && cost > w.best.cost {
 			return
 		}
-		s := sessionsOfEmbeddings(w.curEmbeddings())
+		s := len(w.a.schedule(w.sh.refs, w.sh.byName, w.a.cur))
 		if w.best.ok && cost == w.best.cost && s >= w.best.sessions {
 			return
 		}
@@ -587,13 +590,6 @@ func (w *worker) runBranches(next *atomic.Int64) {
 		w.dfs(1)
 		w.undo(e)
 	}
-}
-
-// sessionsOfEmbeddings counts the test sessions a set of embeddings packs
-// into (used by the MinimizeSessions tie-break).
-func sessionsOfEmbeddings(embs map[string]Embedding) int {
-	p := &Plan{Embeddings: embs, Styles: stylesOf(embs)}
-	return len(ScheduleSessions(p))
 }
 
 // better reports whether a beats b under the deterministic total order:
@@ -651,7 +647,7 @@ func OptimizeCtx(ctx context.Context, dp *datapath.Datapath, opts Options) (*Pla
 	if len(mods) == 0 {
 		bestCost = 0
 	} else {
-		sh := &search{ctx: ctx, opts: opts, mods: mods, refs: sp.refs}
+		sh := &search{searchSpace: sp, ctx: ctx, opts: opts}
 		sh.bound.Store(noBound)
 		if cost, ok := incumbentBound(dp, opts); ok {
 			// The sentinel branch index keeps the equal-cost canonical

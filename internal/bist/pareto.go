@@ -3,11 +3,11 @@ package bist
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bistpath/internal/area"
 	"bistpath/internal/datapath"
-	"bistpath/internal/interconnect"
 )
 
 // CostVector is the multi-objective cost of one complete BIST plan:
@@ -119,26 +119,21 @@ type paretoEntry struct {
 	asg []int32
 }
 
-// paretoEnum is the sequential enumeration state. The search walks the
-// exact canonical depth-first order of the area-only branch and bound —
-// most-constrained modules first, each module's embeddings in stable
-// ascending standalone-cost order — so the representative plan kept for
-// each distinct vector is a pure function of the data path, and the
-// area-minimal front member reproduces the single-objective search's
-// deterministic tie-break.
+// paretoEnum is the sequential enumeration state. It walks the exact
+// search's prepared space (prepareSpace) in the canonical depth-first
+// order of the area-only branch and bound, so the representative plan
+// kept for each distinct vector is a pure function of the data path,
+// and the area-minimal front member reproduces the single-objective
+// search's deterministic tie-break. The running area is the shared
+// dutyEval over one search arena, and each leaf's sessions come from the
+// interned scheduler, so a leaf allocates nothing; only a new archive
+// member copies its assignment.
 type paretoEnum struct {
-	ctx   context.Context
-	opts  Options
-	mods  []modEmb
-	power map[string]int
-
-	// Incremental register-duty counters and upgrade area, exactly the
-	// worker's counter scheme but keyed by name (the sequential walk has
-	// no need for interning).
-	tpg, sa, cb map[string]int
-	areaCost    int
-	cur         []int32
-	embs        map[string]Embedding // leaf-evaluation scratch
+	dutyEval
+	ctx  context.Context
+	opts Options
+	sp   *searchSpace
+	pw   []int // power weight per module position
 
 	// ppLB is the global peak-power lower bound: every module sits in
 	// some session, so any schedule's peak is at least the largest single
@@ -155,45 +150,6 @@ type paretoEnum struct {
 	incumbent int64
 	inexact   bool
 	cancelled bool
-}
-
-func (e *paretoEnum) styleExtra(r string) int {
-	m := e.opts.Model
-	switch {
-	case e.cb[r] > 0:
-		return m.StyleExtra(area.CBILBO)
-	case e.tpg[r] > 0 && e.sa[r] > 0:
-		return m.StyleExtra(area.BILBO)
-	case e.tpg[r] > 0:
-		return m.StyleExtra(area.TPG)
-	case e.sa[r] > 0:
-		return m.StyleExtra(area.SA)
-	}
-	return 0
-}
-
-// bump adjusts one register's duty counters by d, folding the register's
-// upgrade-cost change into the running area.
-func (e *paretoEnum) bump(emb Embedding, d int) {
-	touch := func(h string, isHead bool) {
-		before := e.styleExtra(h)
-		if isHead {
-			e.tpg[h] += d
-			if h == emb.Tail {
-				e.cb[h] += d
-			}
-		} else {
-			e.sa[h] += d
-		}
-		e.areaCost += e.styleExtra(h) - before
-	}
-	for _, h := range []string{emb.HeadL, emb.HeadR} {
-		if h == "" || interconnect.IsPad(h) {
-			continue
-		}
-		touch(h, true)
-	}
-	touch(emb.Tail, false)
 }
 
 func (e *paretoEnum) dfs(i int) {
@@ -220,40 +176,33 @@ func (e *paretoEnum) dfs(i int) {
 	// peak power is at least ppLB. A corner member with area <= the
 	// partial area therefore dominates (or equals, and then canonically
 	// precedes) every leaf below this node. See DESIGN.md §9.
-	if e.cornerArea >= 0 && e.cornerArea <= e.areaCost {
+	if e.cornerArea >= 0 && e.cornerArea <= e.cost {
 		e.prunes++
 		return
 	}
-	if i == len(e.mods) {
+	if i == len(e.sp.mods) {
 		e.leaf()
 		return
 	}
-	for j, emb := range e.mods[i].embs {
-		e.cur[i] = int32(j)
-		e.bump(emb, +1)
+	for j, r := range e.sp.refs[i] {
+		e.a.cur[i] = int32(j)
+		e.apply(r)
 		e.dfs(i + 1)
-		e.bump(emb, -1)
+		e.undo(r)
 	}
 }
 
 // leaf evaluates the complete assignment's vector and offers it to the
 // archive.
 func (e *paretoEnum) leaf() {
-	clear(e.embs)
-	for i, m := range e.mods {
-		e.embs[m.name] = m.embs[e.cur[i]]
-	}
-	p := Plan{Embeddings: e.embs, Styles: stylesOf(e.embs)}
-	sessions := ScheduleSessions(&p)
-	v := CostVector{Area: e.areaCost, TestTime: len(sessions)}
+	sessions := e.a.schedule(e.sp.refs, e.sp.byName, e.a.cur)
+	v := CostVector{Area: e.cost, TestTime: len(sessions)}
 	for _, sess := range sessions {
 		sum := 0
-		for _, m := range sess {
-			sum += e.power[m]
+		for _, p := range sess {
+			sum += e.pw[p]
 		}
-		if sum > v.PeakPower {
-			v.PeakPower = sum
-		}
+		v.PeakPower = max(v.PeakPower, sum)
 	}
 	e.offer(v)
 }
@@ -274,7 +223,7 @@ func (e *paretoEnum) offer(v CostVector) {
 			kept = append(kept, en)
 		}
 	}
-	e.archive = append(kept, paretoEntry{vec: v, asg: append([]int32(nil), e.cur...)})
+	e.archive = append(kept, paretoEntry{vec: v, asg: append([]int32(nil), e.a.cur...)})
 	e.incumbent++
 	if v.TestTime == 1 && v.PeakPower == e.ppLB {
 		if e.cornerArea < 0 || v.Area < e.cornerArea {
@@ -290,17 +239,20 @@ func (e *paretoEnum) offer(v CostVector) {
 // TestTime, PeakPower). Each returned plan carries its vector in
 // Plan.Cost and a schedule from ScheduleSessions.
 //
-// The search is a sequential exhaustive walk in the exact canonical
-// order of OptimizeCtx's branch and bound, with dominance pruning at
-// the ideal corner (see paretoEnum); within each distinct vector the
+// The search is a sequential exhaustive walk over OptimizeCtx's
+// prepared search space, in its canonical order, with dominance pruning
+// at the ideal corner (see paretoEnum); within each distinct vector the
 // first leaf in that order is the representative, so the result is a
 // pure function of the data path and options — in particular, the
 // area-minimal front member is the plan the single-objective search
-// returns. Options.Workers is ignored: front enumeration runs on the
-// calling goroutine (the spaces involved are small; the budget still
-// applies). If Options.NodeBudget is exhausted the walk stops and every
-// returned plan reports Exact=false; the partial front is still
-// mutually non-dominated but may miss vectors.
+// returns. Options.Scratch is honored as for OptimizeCtx: with a warm
+// Scratch the walk allocates only for archive members and the returned
+// front. Options.Workers is ignored: the archive, and with it the corner
+// prune and the representative of each vector, evolves in walk order,
+// so the enumeration runs on the calling goroutine and its effort
+// counters stay deterministic. If Options.NodeBudget is exhausted the
+// walk stops and every returned plan reports Exact=false; the partial
+// front is still mutually non-dominated but may miss vectors.
 func OptimizePareto(ctx context.Context, dp *datapath.Datapath, opts Options) ([]*Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -314,74 +266,42 @@ func OptimizePareto(ctx context.Context, dp *datapath.Datapath, opts Options) ([
 	if opts.NodeBudget == 0 {
 		opts.NodeBudget = 2_000_000
 	}
-	power := PowerWeights(opts.Model, dp, opts.Power)
-
-	mods := make([]modEmb, 0, len(dp.Modules))
-	var embTotal int64
-	for _, m := range dp.Modules {
-		embs := Embeddings(dp, m.Name, opts.AllowPadHeads)
-		if len(embs) == 0 {
-			return nil, fmt.Errorf("bist: module %s has %w (no register I-paths)", m.Name, ErrNoEmbedding)
-		}
-		embTotal += int64(len(embs))
-		mods = append(mods, modEmb{m.Name, embs})
+	sc := opts.Scratch
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	sp, err := prepareSpace(dp, opts, sc)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Metrics != nil {
-		*opts.Metrics = Metrics{Embeddings: embTotal, Workers: 1}
+		*opts.Metrics = Metrics{Embeddings: sp.embTotal, Workers: 1}
 	}
-	if len(mods) == 0 {
+	if len(sp.mods) == 0 {
 		p := &Plan{Embeddings: map[string]Embedding{}, Styles: map[string]area.Style{}, Exact: true}
 		p.Sessions = ScheduleSessions(p)
 		return []*Plan{p}, nil
 	}
-
-	// Canonical search order, replicated from OptimizeCtx: modules with
-	// the fewest embeddings first ((len, name) is a total order), then
-	// each module's embeddings stably sorted by standalone upgrade cost.
-	for i := 1; i < len(mods); i++ {
-		m := mods[i]
-		j := i - 1
-		for j >= 0 && (len(m.embs) < len(mods[j].embs) ||
-			(len(m.embs) == len(mods[j].embs) && m.name < mods[j].name)) {
-			mods[j+1] = mods[j]
-			j--
-		}
-		mods[j+1] = m
+	power := PowerWeights(opts.Model, dp, opts.Power)
+	pw := sc.power[:0]
+	for _, m := range sp.mods {
+		pw = append(pw, power[m.name])
 	}
-	for _, m := range mods {
-		costs := make([]int, len(m.embs))
-		for j, emb := range m.embs {
-			costs[j] = standaloneCost(opts.Model, emb)
-		}
-		for i := 1; i < len(costs); i++ {
-			c, emb := costs[i], m.embs[i]
-			j := i - 1
-			for j >= 0 && costs[j] > c {
-				costs[j+1], m.embs[j+1] = costs[j], m.embs[j]
-				j--
-			}
-			costs[j+1], m.embs[j+1] = c, emb
-		}
-	}
+	sc.power = pw
 
+	a := sc.getArena()
+	a.size(sp.nregs, len(sp.mods))
 	e := &paretoEnum{
+		dutyEval:   newDutyEval(&sp, a),
 		ctx:        ctx,
 		opts:       opts,
-		mods:       mods,
-		power:      power,
-		tpg:        make(map[string]int),
-		sa:         make(map[string]int),
-		cb:         make(map[string]int),
-		cur:        make([]int32, len(mods)),
-		embs:       make(map[string]Embedding, len(mods)),
+		sp:         &sp,
+		pw:         pw,
+		ppLB:       slices.Max(pw),
 		cornerArea: -1,
 	}
-	for _, m := range dp.Modules {
-		if w := power[m.Name]; w > e.ppLB {
-			e.ppLB = w
-		}
-	}
 	e.dfs(0)
+	sc.putArena(a)
 	if e.cancelled {
 		return nil, ctx.Err()
 	}
@@ -394,11 +314,7 @@ func OptimizePareto(ctx context.Context, dp *datapath.Datapath, opts Options) ([
 	sort.Slice(e.archive, func(i, j int) bool { return e.archive[i].vec.Less(e.archive[j].vec) })
 	front := make([]*Plan, 0, len(e.archive))
 	for _, en := range e.archive {
-		embs := make(map[string]Embedding, len(mods))
-		for i, m := range mods {
-			embs[m.name] = m.embs[en.asg[i]]
-		}
-		p := PlanFromEmbeddings(opts.Model, embs, !e.inexact)
+		p := PlanFromEmbeddings(opts.Model, sp.embeddingsOf(en.asg), !e.inexact)
 		p.Cost = PlanCost(p, power)
 		if p.Cost != en.vec {
 			return nil, fmt.Errorf("bist: pareto plan cost %v diverges from search vector %v", p.Cost, en.vec)

@@ -71,6 +71,47 @@ func ScheduleSessions(p *Plan) [][]string {
 	return sessions
 }
 
+// schedule is ScheduleSessions over the interned search state, for the
+// complete assignment asg (embedding index per module position) whose
+// duties the arena's counters hold. Modules are placed first-fit in
+// byName (module positions in name order, ScheduleSessions' order), and
+// the conflict test is sessionConflict on embRefs: a shared tail, or a
+// head that is the other module's tail while that register is no CBILBO
+// (cb > 0 exactly when roles.style says CBILBO). The sessions therefore
+// match ScheduleSessions member for member, as module positions. They
+// live in the arena's reused buffers until the next call.
+func (a *searchArena) schedule(refs [][]embRef, byName, asg []int32) [][]int32 {
+	sess := a.sess[:0]
+next:
+	for _, p := range byName {
+		x := refs[p][asg[p]]
+		for i, members := range sess {
+			ok := true
+			for _, q := range members {
+				y := refs[q][asg[q]]
+				if x.t == y.t ||
+					(x.l == y.t || x.r == y.t) && a.cb[y.t] == 0 ||
+					(y.l == x.t || y.r == x.t) && a.cb[x.t] == 0 {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				sess[i] = append(members, p)
+				continue next
+			}
+		}
+		if len(sess) < cap(sess) {
+			sess = sess[:len(sess)+1]
+			sess[len(sess)-1] = append(sess[len(sess)-1][:0], p)
+		} else {
+			sess = append(sess, []int32{p})
+		}
+	}
+	a.sess = sess
+	return sess
+}
+
 // checkSession verifies that a set of modules can run concurrently.
 func (p *Plan) checkSession(sess []string) error {
 	for i, a := range sess {

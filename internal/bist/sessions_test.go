@@ -1,10 +1,16 @@
 package bist
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"bistpath/internal/area"
+	"bistpath/internal/benchdata"
+	"bistpath/internal/datapath"
+	"bistpath/internal/interconnect"
+	"bistpath/internal/regassign"
 )
 
 // planOf builds a Plan directly from embeddings, deriving styles the
@@ -154,4 +160,122 @@ func TestCheckSessionRejectsConflict(t *testing.T) {
 	if err := p.checkSession([]string{"m1"}); err != nil {
 		t.Fatalf("singleton session rejected: %v", err)
 	}
+}
+
+// scheduleCorpus is the scheduler differential corpus: the five paper
+// designs, sweep seeds 1–60 and preset-s seeds 1–8.
+func scheduleCorpus(t *testing.T) (names []string, dps []*datapath.Datapath) {
+	t.Helper()
+	for _, b := range benchdata.All() {
+		dp, _, _ := buildBench(t, b, false)
+		names, dps = append(names, b.Name), append(dps, dp)
+	}
+	random := func(name string, cfg benchdata.RandomConfig) {
+		g, mb, err := benchdata.RandomWithModules(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rb, err := regassign.Bind(g, mb, regassign.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ib, err := interconnect.Bind(g, mb, rb, regassign.NewSharing(g, mb))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		dp, err := datapath.Build(g, mb, rb, ib, 8)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		names, dps = append(names, name), append(dps, dp)
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		random(fmt.Sprintf("sweep%d", seed), benchdata.SweepConfig(seed))
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg, _ := benchdata.Preset("s", seed)
+		random(fmt.Sprintf("s%d", seed), cfg)
+	}
+	return names, dps
+}
+
+// The interned scheduler both searches evaluate leaves with must agree
+// with the reference ScheduleSessions + PlanCost on seeded random
+// complete assignments: the same sessions in the same membership order,
+// and the same (area, sessions, peak power) vector. A quarter of the
+// module choices favour CBILBO-forming embeddings, and the corpus must
+// exercise a head that is another module's tail both with and without
+// a CBILBO on that register — the one conflict rule that reads the
+// duty counters.
+func TestInternedScheduleDifferential(t *testing.T) {
+	const perDesign = 100
+	var crossedCB, crossedPlain int
+	names, dps := scheduleCorpus(t)
+	for d, dp := range dps {
+		opts := DefaultOptions(8)
+		sp, err := prepareSpace(dp, opts, NewScratch())
+		if err != nil {
+			t.Fatalf("%s: %v", names[d], err)
+		}
+		a := &searchArena{}
+		a.size(sp.nregs, len(sp.mods))
+		ev := newDutyEval(&sp, a)
+		power := PowerWeights(opts.Model, dp, nil)
+		rng := rand.New(rand.NewSource(int64(d) + 1))
+		asg := make([]int32, len(sp.mods))
+		for k := 0; k < perDesign; k++ {
+			for i, m := range sp.mods {
+				asg[i] = int32(rng.Intn(len(m.embs)))
+				if rng.Intn(4) == 0 {
+					for j, e := range m.embs {
+						if e.NeedsCBILBO() {
+							asg[i] = int32(j)
+							break
+						}
+					}
+				}
+				ev.apply(sp.refs[i][asg[i]])
+			}
+			got := a.schedule(sp.refs, sp.byName, asg)
+			peak := 0
+			gotNames := make([][]string, len(got))
+			for i, sess := range got {
+				sum := 0
+				for _, p := range sess {
+					gotNames[i] = append(gotNames[i], sp.mods[p].name)
+					sum += power[sp.mods[p].name]
+				}
+				peak = max(peak, sum)
+			}
+
+			ref := PlanFromEmbeddings(opts.Model, sp.embeddingsOf(asg), true)
+			if !reflect.DeepEqual(gotNames, ref.Sessions) {
+				t.Fatalf("%s assignment %d %v: interned sessions %v, ScheduleSessions %v",
+					names[d], k, asg, gotNames, ref.Sessions)
+			}
+			if v, want := (CostVector{Area: ev.cost, TestTime: len(got), PeakPower: peak}), PlanCost(ref, power); v != want {
+				t.Fatalf("%s assignment %d %v: interned vector %v, PlanCost %v", names[d], k, asg, v, want)
+			}
+			for _, x := range ref.Embeddings {
+				for _, y := range ref.Embeddings {
+					if x.Module == y.Module || (x.HeadL != y.Tail && x.HeadR != y.Tail) {
+						continue
+					}
+					if ref.Styles[y.Tail] == area.CBILBO {
+						crossedCB++
+					} else {
+						crossedPlain++
+					}
+				}
+			}
+			for i, g := range asg {
+				ev.undo(sp.refs[i][g])
+			}
+		}
+	}
+	if crossedCB == 0 || crossedPlain == 0 {
+		t.Fatalf("corpus never crossed a head onto another module's tail both ways: %d with CBILBO, %d without",
+			crossedCB, crossedPlain)
+	}
+	t.Logf("%d designs, %d crossings onto a CBILBO, %d onto a plain register", len(dps), crossedCB, crossedPlain)
 }

@@ -181,22 +181,21 @@ func OptimizeStochasticCtx(ctx context.Context, dp *datapath.Datapath, opts Opti
 		nw = pupSize
 	}
 
-	// Worker-local cost evaluators over recycled arenas.
-	evs := make([]dutyEval, nw)
-	arenas := make([]*searchArena, nw)
+	// Worker-local cost evaluators over recycled arenas, plus one for the
+	// incumbent's session tie-break.
+	evs := make([]dutyEval, nw+1)
 	for i := range evs {
 		a := sc.getArena()
 		a.size(sp.nregs, nm)
-		arenas[i] = a
 		evs[i] = newDutyEval(&sp, a)
 	}
 	defer func() {
-		for _, a := range arenas {
-			sc.putArena(a)
+		for _, ev := range evs {
+			sc.putArena(ev.a)
 		}
 	}()
 
-	st := &stochState{sp: &sp, dp: dp, opts: opts, bestCost: -1, bestSessions: -1}
+	st := &stochState{sp: &sp, dp: dp, opts: opts, sched: &evs[nw], bestCost: -1, bestSessions: -1}
 	rng := rand.New(rand.NewSource(seed))
 
 	// Phase 2: seeded initial population.
@@ -450,9 +449,10 @@ func (sp *searchSpace) genomeOf(embs map[string]Embedding, genome []int32) bool 
 // genome) — so the winner is a pure function of the candidates seen, not
 // of scan order details.
 type stochState struct {
-	sp   *searchSpace
-	dp   *datapath.Datapath
-	opts Options
+	sp    *searchSpace
+	dp    *datapath.Datapath
+	opts  Options
+	sched *dutyEval // session-count evaluator (MinimizeSessions ties)
 
 	best         []int32
 	bestCost     int
@@ -479,7 +479,7 @@ func (st *stochState) improve(g []int32, cost int) (bool, error) {
 			return false, nil
 		}
 		if st.opts.MinimizeSessions {
-			s := sessionsOfEmbeddings(st.sp.embeddingsOf(g))
+			s := st.sessionsOf(g)
 			bs := st.sessionsOfBest()
 			if s > bs || (s == bs && !int32Less(g, st.best)) {
 				return false, nil
@@ -505,9 +505,23 @@ func (st *stochState) improve(g []int32, cost int) (bool, error) {
 
 func (st *stochState) sessionsOfBest() int {
 	if st.bestSessions < 0 {
-		st.bestSessions = sessionsOfEmbeddings(st.sp.embeddingsOf(st.best))
+		st.bestSessions = st.sessionsOf(st.best)
 	}
 	return st.bestSessions
+}
+
+// sessionsOf counts the test sessions genome g schedules into. It runs
+// on the state's own evaluator: the workers' arenas may hold live duties.
+func (st *stochState) sessionsOf(g []int32) int {
+	refs := st.sp.refs
+	for i, x := range g {
+		st.sched.apply(refs[i][x])
+	}
+	n := len(st.sched.a.schedule(refs, st.sp.byName, g))
+	for i, x := range g {
+		st.sched.undo(refs[i][x])
+	}
+	return n
 }
 
 func int32Equal(a, b []int32) bool {

@@ -253,3 +253,41 @@ func TestParetoRandomSweepOracle(t *testing.T) {
 		t.Error("no random design fit under the oracle cap; the sweep verified nothing")
 	}
 }
+
+// The Pareto walk is sequential whatever Config.Workers says, so a
+// ParetoFront Result — search counters included — must be
+// byte-identical at every worker count: nothing in it may depend on
+// timing. Only the wall times (*_ns) are normalized away.
+func TestParetoJSONIdenticalAcrossWorkers(t *testing.T) {
+	for _, name := range BenchmarkNames() {
+		var baseline []byte
+		for _, workers := range []int{1, 2, 8} {
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			raw, err := synthPareto(t, name, cfg).JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := normalizeResultJSON(t, raw)
+			if workers == 1 {
+				baseline = got
+				continue
+			}
+			if string(got) != string(baseline) {
+				t.Errorf("%s: Pareto JSON with %d workers differs from sequential run:\n%s\nvs\n%s",
+					name, workers, got, baseline)
+			}
+		}
+	}
+}
+
+// Paulin's walk effort is pinned: the same nodes, corner prunes and
+// archive insertions mean the enumeration still walks the same tree in
+// the same order, whatever evaluates its leaves.
+func TestParetoSearchCountersPinned(t *testing.T) {
+	st := synthPareto(t, "paulin", DefaultConfig()).Stats
+	got := [4]int64{st.SearchNodes, st.BoundPrunes, st.IncumbentUpdates, st.EmbeddingsEnumerated}
+	if want := [4]int64{43305, 0, 12, 62}; got != want {
+		t.Errorf("paulin Pareto (nodes, prunes, incumbents, embeddings) = %v, want %v", got, want)
+	}
+}
