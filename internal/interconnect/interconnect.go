@@ -10,6 +10,7 @@ package interconnect
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -60,100 +61,207 @@ func (ib *Binding) OperandSources(g *dfg.Graph, rb *regassign.Binding, op *dfg.O
 // count is small) minimizing, in order: total mux inputs over the two
 // ports, |IR^LR|, and — when sh is non-nil — maximizing the summed
 // sharing degree of registers connected to both ports. Non-commutative
-// instances keep their argument order.
+// instances keep their argument order. Ties keep the orientation an
+// ascending scan of swap masks (bit i swaps the module's i-th free
+// instance) reaches first.
 func Bind(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, sh *regassign.Sharing) (*Binding, error) {
 	ib := &Binding{Swapped: make(map[string]bool)}
+	o := newOrienter(g, mb, rb, sh)
 	for _, m := range mb.Modules {
-		if err := bindModule(g, m, rb, sh, ib); err != nil {
+		if err := o.bindModule(m, ib); err != nil {
 			return nil, err
 		}
 	}
 	return ib, nil
 }
 
-func bindModule(g *dfg.Graph, m *modassign.Module, rb *regassign.Binding, sh *regassign.Sharing, ib *Binding) error {
-	type inst struct {
-		op   *dfg.Op
-		a, b string // source ids
-		comm bool
+// maxFree caps the free instances of one module: the orientation search
+// visits all 2^k swap masks of its k free instances.
+const maxFree = 20
+
+// score ranks one orientation of a module's instances.
+type score struct {
+	muxInputs int // distinct left-port plus distinct right-port sources
+	lrCount   int // sources on both ports (|IR^LR|, pads included)
+	lrSD      int // summed sharing degree of those sources: higher is better
+}
+
+func (x score) better(y score) bool {
+	if x.muxInputs != y.muxInputs {
+		return x.muxInputs < y.muxInputs
 	}
-	var insts []inst
+	if x.lrCount != y.lrCount {
+		return x.lrCount < y.lrCount
+	}
+	return x.lrSD > y.lrSD
+}
+
+// srcKey identifies an operand source without building its string form:
+// a register by name, or (pad) the input pad of a port variable.
+type srcKey struct {
+	name string
+	pad  bool
+}
+
+// The two input ports, indexing source.on.
+const (
+	portL = 0
+	portR = 1
+)
+
+// source is one interned operand source of the module being oriented.
+type source struct {
+	key    srcKey
+	weight int      // SD of its register (0 for pads or nil sh), -1 until needed
+	on     [2]int32 // instances wiring it to each port
+}
+
+// flip is a free instance: a commutative binary op with distinct operand
+// sources a and b (interned ids), wired (a, b) when unswapped.
+type flip struct {
+	op   string
+	a, b int32
+}
+
+// orienter is the orientation search of one Bind call. Its buffers are
+// sized to the largest module and reused by every module, so the search
+// allocates nothing per module or per mask.
+type orienter struct {
+	g  *dfg.Graph
+	rb *regassign.Binding
+	sh *regassign.Sharing
+
+	ids  map[srcKey]int32 // the current module's interned sources
+	srcs []source
+	free []flip
+	s    score // score of the current orientation, kept up to date
+}
+
+func newOrienter(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, sh *regassign.Sharing) *orienter {
+	maxOps := 0
+	for _, m := range mb.Modules {
+		maxOps = max(maxOps, len(m.Ops))
+	}
+	return &orienter{
+		g: g, rb: rb, sh: sh,
+		ids:  make(map[srcKey]int32, 2*maxOps),
+		srcs: make([]source, 0, 2*maxOps),
+		free: make([]flip, 0, maxOps),
+	}
+}
+
+// bindModule orients the free instances of module m. It wires every
+// instance unswapped, then walks all 2^k swap masks in Gray-code order:
+// step i flips free instance TrailingZeros(i), four O(1) count updates.
+// Ties keep the lowest mask, which is the one an ascending scan finds
+// first.
+func (o *orienter) bindModule(m *modassign.Module, ib *Binding) error {
+	clear(o.ids)
+	o.srcs, o.free, o.s = o.srcs[:0], o.free[:0], score{}
 	for _, opName := range m.Ops {
-		op := g.Op(opName)
-		a := SourceOf(rb, g, op.Args[0])
+		op := o.g.Op(opName)
+		a := o.source(op.Args[0])
 		b := a
 		if op.Binary() {
-			b = SourceOf(rb, g, op.Args[1])
+			b = o.source(op.Args[1])
 		}
-		if a == "" || b == "" {
+		if a < 0 || b < 0 {
 			return fmt.Errorf("interconnect: op %s has operand with no register", opName)
 		}
-		insts = append(insts, inst{op: op, a: a, b: b, comm: op.Kind.Commutative() && op.Binary()})
-	}
-	var free []int // indices of commutative instances with distinct sources
-	for i, in := range insts {
-		if in.comm && in.a != in.b {
-			free = append(free, i)
-		}
-	}
-	if len(free) > 20 {
-		return fmt.Errorf("interconnect: module %s has %d free instances (search cap exceeded)", m.Name, len(free))
-	}
-	type scoreT struct {
-		muxInputs int
-		lrCount   int
-		lrSD      int // negated preference: higher is better
-	}
-	better := func(x, y scoreT) bool {
-		if x.muxInputs != y.muxInputs {
-			return x.muxInputs < y.muxInputs
-		}
-		if x.lrCount != y.lrCount {
-			return x.lrCount < y.lrCount
-		}
-		return x.lrSD > y.lrSD
-	}
-	evaluate := func(mask int) scoreT {
-		left := make(map[string]bool)
-		right := make(map[string]bool)
-		for i, in := range insts {
-			a, b := in.a, in.b
-			for bit, fi := range free {
-				if fi == i && mask&(1<<uint(bit)) != 0 {
-					a, b = b, a
-				}
-			}
-			left[a] = true
-			if in.op.Binary() {
-				right[b] = true
+		o.add(portL, a)
+		if op.Binary() {
+			o.add(portR, b)
+			if op.Kind.Commutative() && a != b {
+				o.free = append(o.free, flip{op: opName, a: a, b: b})
 			}
 		}
-		var s scoreT
-		s.muxInputs = len(left) + len(right)
-		for src := range left {
-			if right[src] {
-				s.lrCount++
-				if sh != nil && !IsPad(src) {
-					if r := rb.Register(src); r != nil {
-						s.lrSD += sh.SDReg(r.Vars)
-					}
-				}
-			}
-		}
-		return s
 	}
-	bestMask, bestScore := 0, evaluate(0)
-	for mask := 1; mask < 1<<uint(len(free)); mask++ {
-		if s := evaluate(mask); better(s, bestScore) {
-			bestMask, bestScore = mask, s
+	if len(o.free) > maxFree {
+		return fmt.Errorf("interconnect: module %s has %d free instances (search cap exceeded)", m.Name, len(o.free))
+	}
+	best, bestMask, mask := o.s, 0, 0
+	for i := 1; i < 1<<len(o.free); i++ {
+		bit := bits.TrailingZeros(uint(i))
+		f := o.free[bit]
+		l, r := f.a, f.b
+		if mask&(1<<bit) != 0 {
+			l, r = r, l
+		}
+		o.remove(portL, l)
+		o.remove(portR, r)
+		o.add(portL, r)
+		o.add(portR, l)
+		mask ^= 1 << bit
+		if o.s.better(best) || (o.s == best && mask < bestMask) {
+			best, bestMask = o.s, mask
 		}
 	}
-	for bit, fi := range free {
-		if bestMask&(1<<uint(bit)) != 0 {
-			ib.Swapped[insts[fi].op.Name] = true
+	for bit, f := range o.free {
+		if bestMask&(1<<bit) != 0 {
+			ib.Swapped[f.op] = true
 		}
 	}
 	return nil
+}
+
+// source returns the interned id of the source feeding variable v, or -1
+// when v is neither a port nor bound to a register (SourceOf's "").
+func (o *orienter) source(v string) int32 {
+	key := srcKey{name: v, pad: true}
+	if gv := o.g.Var(v); gv == nil || !gv.IsPort {
+		if key = (srcKey{name: o.rb.RegisterOf(v)}); key.name == "" {
+			return -1
+		}
+	}
+	if id, ok := o.ids[key]; ok {
+		return id
+	}
+	w := 0
+	if o.sh != nil && !key.pad {
+		w = -1
+	}
+	id := int32(len(o.srcs))
+	o.ids[key] = id
+	o.srcs = append(o.srcs, source{key: key, weight: w})
+	return id
+}
+
+// add wires one more instance of source id to port. Its first instance
+// there costs a mux input, and if the other port already sees the
+// source it joins IR^LR.
+func (o *orienter) add(port int, id int32) {
+	s := &o.srcs[id]
+	if s.on[port]++; s.on[port] == 1 {
+		o.shift(s, port, 1)
+	}
+}
+
+// remove is add's inverse.
+func (o *orienter) remove(port int, id int32) {
+	s := &o.srcs[id]
+	if s.on[port]--; s.on[port] == 0 {
+		o.shift(s, port, -1)
+	}
+}
+
+func (o *orienter) shift(s *source, port, d int) {
+	o.s.muxInputs += d
+	if s.on[1-port] > 0 {
+		o.s.lrCount += d
+		o.s.lrSD += d * o.weightOf(s)
+	}
+}
+
+// weightOf returns the sharing degree s adds to lrSD, computing it on
+// the source's first entry to IR^LR: many sources never get there.
+func (o *orienter) weightOf(s *source) int {
+	if s.weight < 0 {
+		s.weight = 0
+		if r := o.rb.Register(s.key.name); r != nil {
+			s.weight = o.sh.SDReg(r.Vars)
+		}
+	}
+	return s.weight
 }
 
 // PortSources returns the distinct sources wired to the left and right
@@ -185,35 +293,33 @@ type IRPartition struct {
 // InputRegisterPartition computes IR^L, IR^R and IR^LR for a module
 // (pads excluded: only registers participate in the partition).
 func InputRegisterPartition(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *Binding, module string) IRPartition {
-	left, right := PortSources(g, mb, rb, ib, module)
-	inL := make(map[string]bool)
-	for _, s := range left {
-		if !IsPad(s) {
-			inL[s] = true
-		}
-	}
-	inR := make(map[string]bool)
-	for _, s := range right {
-		if !IsPad(s) {
-			inR[s] = true
-		}
-	}
+	return partition(PortSources(g, mb, rb, ib, module))
+}
+
+// partition merges a module's sorted left and right port sources into
+// IR^L, IR^R and IR^LR, dropping pads.
+func partition(left, right []string) IRPartition {
 	var p IRPartition
-	for s := range inL {
-		if inR[s] {
-			p.LR = append(p.LR, s)
-		} else {
-			p.L = append(p.L, s)
+	put := func(set *[]string, s string) {
+		if !IsPad(s) {
+			*set = append(*set, s)
 		}
 	}
-	for s := range inR {
-		if !inL[s] {
-			p.R = append(p.R, s)
+	i, j := 0, 0
+	for i < len(left) || j < len(right) {
+		switch {
+		case j == len(right) || i < len(left) && left[i] < right[j]:
+			put(&p.L, left[i])
+			i++
+		case i == len(left) || right[j] < left[i]:
+			put(&p.R, right[j])
+			j++
+		default:
+			put(&p.LR, left[i])
+			i++
+			j++
 		}
 	}
-	sort.Strings(p.L)
-	sort.Strings(p.R)
-	sort.Strings(p.LR)
 	return p
 }
 
@@ -257,7 +363,7 @@ func Measure(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding, ib *Bin
 		left, right := PortSources(g, mb, rb, ib, m.Name)
 		count(len(left))
 		count(len(right))
-		st.LRTotal += len(InputRegisterPartition(g, mb, rb, ib, m.Name).LR)
+		st.LRTotal += len(partition(left, right).LR)
 	}
 	for _, srcs := range RegisterSources(g, mb, rb) {
 		count(len(srcs))
