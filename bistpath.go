@@ -483,12 +483,13 @@ func normalizeConfig(cfg Config) Config {
 
 // cachePolicy reports whether a run's plan is a deterministic pure
 // function of its semantic inputs, and so may be replayed rather than
-// searched for: served from Config.Cache, or spliced into a Session's
-// next run when the data-path structure is unchanged. Both replays
-// rebuild the plan through bist.PlanFromEmbeddings and revalidate it
-// against the live data path. Two kinds of run are excluded:
+// searched for: served from Config.Cache, or carried across a Session's
+// steps-only fast path. A cache replay rebuilds the plan through
+// bist.PlanFromEmbeddings and revalidates it against the live data
+// path; the fast path reuses the previous netlist, which the step edit
+// provably left unchanged. Two kinds of run are excluded:
 //   - ParetoFront produces a plan set, which neither a cache entry nor
-//     a splice carries (MinArea and WeightedSum produce one plan);
+//     the fast path carries (MinArea and WeightedSum produce one plan);
 //   - a stochastic run with a wall-clock TimeBudget, because where the
 //     clock cuts the search off is not reproducible.
 func cachePolicy(cfg Config) bool {
@@ -496,80 +497,24 @@ func cachePolicy(cfg Config) bool {
 		(cfg.Search == SearchExact || cfg.TimeBudget == 0)
 }
 
-// phaseArtifacts captures the reusable products of a successful pipeline
-// run. A Session hands the previous run's artifacts back to the next
-// run as pipeExtras.reuse; the pipeline trusts nothing blindly: the
-// register binding is reused only when the binder fingerprint of the
-// live inputs matches bindFP, and the plan is spliced or used as an
-// incumbent bound only after it revalidates against the freshly rebuilt
-// data path.
+// phaseArtifacts captures what a Session's steps-only fast path
+// rebuilds from: the register and interconnect bindings and the
+// netlist, around which Datapath.WithSchedule rebuilds only the
+// control program (see Session.fastReschedule).
 type phaseArtifacts struct {
-	// Register-bind phase: the binding plus everything needed to replay
-	// its observable side products (metrics, decision trace).
-	bindFP      [32]byte
-	haveBindFP  bool
-	rb          *regassign.Binding
-	bindMetrics regassign.Metrics
-	trace       []regassign.Decision
-
-	// The interconnect binding and netlist, for the Session's
-	// reschedule fast path (conflict-preserving step edits rebuild only
-	// the control program around them; see Session.Resynthesize).
+	rb *regassign.Binding
 	ib *interconnect.Binding
 	dp *datapath.Datapath
-
-	// BIST-search phase: the plan, the structural fingerprint of the
-	// data path it was optimal for, the search counters to replay on a
-	// splice, and the forced-CBILBO classifications (pure functions of
-	// the data-path structure) the report phase reuses.
-	dpFP           string
-	plan           *bist.Plan
-	searchMetrics  bist.Metrics
-	searchStrategy string
-	forced         map[string]bool
 }
 
 // pipeExtras carries the optional attachments of one pipeline run: the
-// disk-cache entry to replay, the scratch arenas, and the incremental
-// reuse/capture hooks a Session threads through.
+// disk-cache entry to replay, the scratch arenas, and the incumbent
+// plan and artifact capture a Session threads through.
 type pipeExtras struct {
-	cached  *cachedSynthesis
-	sc      *synthScratch
-	reuse   *phaseArtifacts
-	capture *phaseArtifacts
-}
-
-// dpStructuralFP digests the data-path structure the BIST search space
-// is a pure function of: per module (in dp.Modules order) the name,
-// kinds, left/right port sources, destinations and the diagonal flag.
-// The schedule (dp.Steps) is deliberately absent — embeddings do not
-// depend on it, which is exactly why a conflict-preserving reschedule
-// can splice the previous plan. Config inputs of the search (width,
-// AllowPadTPG, MinimizeSessions, Seed, ...) are not folded in either:
-// the Session pins its Config at creation, so they cannot drift between
-// the runs being compared.
-func dpStructuralFP(dp *datapath.Datapath) string {
-	var sb strings.Builder
-	for _, m := range dp.Modules {
-		fmt.Fprintf(&sb, "%s %v L%v R%v D%v diag%t\n",
-			m.Name, m.Kinds, m.Left, m.Right, m.Dests, dp.ModuleDiagonal(m.Name))
-	}
-	fmt.Fprintf(&sb, "regs %d\n", len(dp.Regs))
-	for _, r := range dp.Regs {
-		fmt.Fprintf(&sb, "reg %s S%v\n", r.Name, r.Sources)
-	}
-	return sb.String()
-}
-
-// planUsesPadHead reports whether any embedding sources test patterns
-// from an input pad.
-func planUsesPadHead(p *bist.Plan) bool {
-	for _, e := range p.Embeddings {
-		if interconnect.IsPad(e.HeadL) || (e.HeadR != "" && interconnect.IsPad(e.HeadR)) {
-			return true
-		}
-	}
-	return false
+	cached    *cachedSynthesis
+	sc        *synthScratch
+	incumbent *bist.Plan
+	capture   *phaseArtifacts
 }
 
 // synthesizePipeline runs the five synthesis phases on a normalized
@@ -589,12 +534,11 @@ func planUsesPadHead(p *bist.Plan) bool {
 // verbatim to keep Result.JSON() byte-identical.
 //
 // A non-nil pipe.sc threads reusable scratch memory into the register
-// binder and the BIST search; a Session's incremental runs add reuse
-// (artifacts of the previous run, revalidated before use) and capture
-// (this run's artifacts). Neither changes the Result's content — a
-// reused register binding requires a binder fingerprint match, a
-// spliced plan a structural data-path match plus revalidation — only
-// Stats.ReusedPhases and the effort counters betray that work was saved.
+// binder and the BIST search. A Session's runs add an incumbent (the
+// previous run's plan, which seeds the MinArea search's bound) and
+// capture (this run's artifacts, for the next steps-only fast path).
+// Neither changes the Result's content; only the effort counters betray
+// that the search was warm-started.
 func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding, cfg Config, pipe pipeExtras) (res *Result, retErr error) {
 	cached, sc := pipe.cached, pipe.sc
 	if err := ctx.Err(); err != nil {
@@ -642,9 +586,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	var rb *regassign.Binding
 	var trace []regassign.Decision
 	var rm regassign.Metrics
-	var bindFP [32]byte
-	haveBindFP := false
-	bindReused := false
 	if err := phase(PhaseRegisterBind, &st.RegisterBind, func() error {
 		ropts := regassign.Options{
 			SharingDegree:    cfg.Sharing,
@@ -655,26 +596,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 		}
 		if sc != nil {
 			ropts.Scratch = sc.bind
-		}
-		// Incremental runs fingerprint the binder's projected inputs; an
-		// exact match with the previous run proves the binder would make
-		// the identical decisions, so the binding, decision trace and
-		// counters are replayed instead of recomputed. (This also covers
-		// TraditionalHLS: its chordal coloring depends only on the
-		// conflict rows the fingerprint digests.)
-		if pipe.capture != nil || (pipe.reuse != nil && pipe.reuse.haveBindFP) {
-			fp, err := regassign.Fingerprint(g, mb, ropts)
-			if err != nil {
-				return err
-			}
-			bindFP, haveBindFP = fp, true
-		}
-		if r := pipe.reuse; r != nil && r.haveBindFP && r.rb != nil && haveBindFP && bindFP == r.bindFP {
-			rb = r.rb
-			trace = r.trace
-			rm = r.bindMetrics
-			bindReused = true
-			return nil
 		}
 		var err error
 		switch {
@@ -691,9 +612,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	}
 	st.Lemma2Checks = rm.Lemma2Checks
 	st.CaseOverrides = rm.CaseOverrides
-	if bindReused {
-		st.ReusedPhases = append(st.ReusedPhases, PhaseRegisterBind.String())
-	}
 
 	sh := regassign.NewSharing(g, mb)
 	var shw *regassign.Sharing
@@ -724,12 +642,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	var plan *bist.Plan
 	var front []*bist.Plan
 	var bm bist.Metrics
-	var dpFP string
-	if pipe.capture != nil || (pipe.reuse != nil && pipe.reuse.dpFP != "") {
-		dpFP = dpStructuralFP(dp)
-	}
-	dpMatched := pipe.reuse != nil && pipe.reuse.dpFP != "" && dpFP == pipe.reuse.dpFP
-	searchReused := false
 	if cached != nil {
 		// Disk-cache replay: splice in the persisted plan instead of
 		// searching, but only after it validates against the data path
@@ -742,23 +654,6 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 			return nil, fmt.Errorf("%w: %v", errStaleCacheEntry, err)
 		}
 	} else if err := phase(PhaseBISTSearch, &st.BISTSearch, func() error {
-		// Incremental splice: the BIST search space is a pure function
-		// of the data-path structure, so when that structure matches the
-		// previous run's fingerprint the previous plan IS the search
-		// result. It is still rebuilt through PlanFromEmbeddings and
-		// revalidated against the fresh data path — the same distrustful
-		// path a disk-cache entry takes — and the previous run's search
-		// counters are replayed with it.
-		if r := pipe.reuse; dpMatched && r.plan != nil && cachePolicy(cfg) {
-			p := bist.PlanFromEmbeddings(area.Default(cfg.Width), r.plan.Embeddings, r.plan.Exact)
-			if p.Validate(dp) == nil && (cfg.AllowPadTPG || !planUsesPadHead(p)) {
-				plan = p
-				bm = r.searchMetrics
-				st.SearchStrategy = r.searchStrategy
-				searchReused = true
-				return nil
-			}
-		}
 		bopts := bist.Options{
 			Model:            area.Default(cfg.Width),
 			AllowPadHeads:    cfg.AllowPadTPG,
@@ -775,13 +670,12 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 				obs(Event{Design: g.Name, Kind: SearchProgress, Phase: PhaseBISTSearch, SearchNodes: nodes})
 			}
 		}
-		if r := pipe.reuse; r != nil && r.plan != nil && cfg.Objective == MinArea {
-			// The structure changed, so a full search is due — but the
-			// surviving plan, if it still validates, seeds the exact
-			// branch and bound's incumbent bound (the optimizer ignores
-			// it otherwise). The plan returned is provably the one a
-			// cold search finds; only the effort counters shrink.
-			bopts.Incumbent = r.plan
+		if pipe.incumbent != nil && cfg.Objective == MinArea {
+			// The previous run's plan, if it still validates, seeds the
+			// exact branch and bound's incumbent bound (the optimizer
+			// ignores it otherwise). The plan returned is provably the
+			// one a cold search finds; only the effort counters shrink.
+			bopts.Incumbent = pipe.incumbent
 		}
 		if cfg.Objective == MinArea {
 			strategy := cfg.Search
@@ -837,26 +731,8 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	for _, cp := range bm.Curve {
 		st.BestCurve = append(st.BestCurve, SearchCurvePoint{Generation: cp.Generation, Cost: cp.Cost})
 	}
-	if searchReused {
-		st.ReusedPhases = append(st.ReusedPhases, PhaseBISTSearch.String())
-	}
 
-	// Forced-CBILBO classification is a pure function of the data-path
-	// structure, so a structural match reuses the previous run's map;
-	// incremental runs otherwise compute it once here so it can be
-	// captured for the next round (cold runs let assemble derive it
-	// per-module, allocation-free).
-	var forced map[string]bool
-	if dpMatched && pipe.reuse.forced != nil {
-		forced = pipe.reuse.forced
-	} else if pipe.capture != nil {
-		forced = make(map[string]bool, len(mb.Modules))
-		for _, m := range mb.Modules {
-			forced[m.Name] = bist.ForcedCBILBOByEnumeration(dp, m.Name, cfg.AllowPadTPG)
-		}
-	}
-
-	res, err := assemble(g, mb, rb, dp, plan, sh, cfg, forced)
+	res, err := assemble(g, mb, rb, dp, plan, sh, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -876,29 +752,15 @@ func synthesizePipeline(ctx context.Context, g *dfg.Graph, mb *modassign.Binding
 	st.Total = time.Since(t0)
 	res.Stats = st
 	if art := pipe.capture; art != nil {
-		art.bindFP, art.haveBindFP = bindFP, haveBindFP
-		art.rb = rb
-		art.bindMetrics = rm
-		art.trace = trace
-		art.ib = ib
-		art.dp = dp
-		art.dpFP = dpFP
-		art.plan = plan
-		art.searchMetrics = bm
-		art.searchStrategy = st.SearchStrategy
-		art.forced = forced
+		*art = phaseArtifacts{rb: rb, ib: ib, dp: dp}
 	}
 	recordRun(&st)
 	return res, nil
 }
 
 // assemble builds the public Result from the completed allocation.
-// forced, when non-nil, supplies precomputed forced-CBILBO
-// classifications per module (an incremental run's reuse path); nil
-// computes each by enumeration.
 func assemble(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding,
-	dp *datapath.Datapath, plan *bist.Plan, sh *regassign.Sharing, cfg Config,
-	forced map[string]bool) (*Result, error) {
+	dp *datapath.Datapath, plan *bist.Plan, sh *regassign.Sharing, cfg Config) (*Result, error) {
 
 	model := area.Default(cfg.Width)
 	res := &Result{
@@ -924,19 +786,12 @@ func assemble(g *dfg.Graph, mb *modassign.Binding, rb *regassign.Binding,
 		})
 	}
 	for _, m := range mb.Modules {
-		f, ok := false, false
-		if forced != nil {
-			f, ok = forced[m.Name]
-		}
-		if !ok {
-			f = bist.ForcedCBILBOByEnumeration(dp, m.Name, cfg.AllowPadTPG)
-		}
 		res.Modules = append(res.Modules, ModuleInfo{
 			Name:         m.Name,
 			Class:        m.Class.Name,
 			Ops:          append([]string(nil), m.Ops...),
 			Embedding:    plan.Embeddings[m.Name].String(),
-			ForcedCBILBO: f,
+			ForcedCBILBO: bist.ForcedCBILBOByEnumeration(dp, m.Name, cfg.AllowPadTPG),
 		})
 	}
 	res.MuxCount, res.MuxExtraInputs = dp.MuxStats()

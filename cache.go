@@ -366,54 +366,20 @@ func resultFootprint(r *Result) int64 {
 	return n
 }
 
-// Section names of the canonical fingerprint, in stream order. The
-// sectioning is the contract the incremental Session layer diffs
-// against: each name groups the semantic inputs that, when changed,
-// invalidate a known prefix of the pipeline (see DESIGN.md §11).
-const (
-	keySectionHeader    = "header"
-	keySectionConfig    = "config"
-	keySectionObjective = "objective"
-	keySectionSearch    = "search"
-	keySectionModules   = "modules"
-	keySectionPorts     = "ports"
-	keySectionDFG       = "dfg"
-)
-
-// keySection is one named segment of the canonical cache fingerprint.
-type keySection struct {
-	name    string
-	payload string
-}
-
-// keySectionOrder lists the section names in stream order.
-var keySectionOrder = [...]string{
-	keySectionHeader, keySectionConfig, keySectionObjective, keySectionSearch,
-	keySectionModules, keySectionPorts, keySectionDFG,
-}
-
-// keySections itemizes the canonical fingerprint into named sections.
-// Concatenating the payloads in stream order reproduces, byte for
-// byte, the exact pre-image cacheKey has always hashed (pinned by
-// TestCacheKeyPinned), so refactoring the key into sections costs no
-// cache invalidation. Sections that contribute nothing to the stream
-// (objective at MinArea, search at SearchExact) carry empty payloads
-// rather than being omitted, so a diff between two configs always
-// compares like-named sections positionally. All sections are written
-// into one builder and sliced out of its final string by offset, so
-// the payloads share a single backing array.
-func keySections(g *dfg.Graph, mb *modassign.Binding, cfg Config) []keySection {
+// keyPreimage writes the canonical fingerprint cacheKey hashes: a
+// version header, the Config fields that can affect the Result, the
+// name-sorted module inventory, the port-input marks and the canonical
+// DFG text, in that order. The byte stream is pinned by
+// TestCacheKeyPinned, so persisted disk entries stay valid. A Session
+// compares two pre-images for equality to detect an unchanged design.
+func keyPreimage(g *dfg.Graph, mb *modassign.Binding, cfg Config) string {
 	var sb strings.Builder
 	// Presize from typical line lengths (fixed header and config text,
 	// then per module, op and variable) so the builder rarely regrows;
 	// every regrowth is an allocation on the cache's hit path.
 	sb.Grow(512 + 48*len(mb.Modules) + 40*len(g.Ops()) + 8*len(g.Vars()))
-	var ends [len(keySectionOrder)]int
-	next := 0
-	cut := func() { ends[next] = sb.Len(); next++ }
 
 	fmt.Fprintf(&sb, "bistpath-cache-key v%d schema%d\n", cacheKeyVersion, ResultSchemaVersion)
-	cut()
 
 	fmt.Fprintf(&sb, "width %d\n", cfg.Width)
 	sb.WriteString("mode " + cfg.Mode.String() + "\n")
@@ -421,7 +387,6 @@ func keySections(g *dfg.Graph, mb *modassign.Binding, cfg Config) []keySection {
 		cfg.AllowPadTPG, cfg.MinimizeSessions, cfg.Trace)
 	fmt.Fprintf(&sb, "sharing %t\ncaseoverrides %t\navoidcbilbo %t\nweightedinterconnect %t\n",
 		cfg.Sharing, cfg.CaseOverrides, cfg.AvoidCBILBO, cfg.WeightedInterconnect)
-	cut()
 
 	// Multi-objective configuration joins the key only when it departs
 	// from the default MinArea objective, so every key computed for an
@@ -445,7 +410,6 @@ func keySections(g *dfg.Graph, mb *modassign.Binding, cfg Config) []keySection {
 			sb.WriteByte('\n')
 		}
 	}
-	cut()
 
 	// The search strategy joins the key the same way: only when it
 	// departs from the default SearchExact, keeping every exact-config
@@ -457,7 +421,6 @@ func keySections(g *dfg.Graph, mb *modassign.Binding, cfg Config) []keySection {
 		fmt.Fprintf(&sb, "search %s\nseed %d\ngenerations %d\nbudget %d\n",
 			cfg.Search, cfg.Seed, cfg.MaxGenerations, int64(cfg.TimeBudget))
 	}
-	cut()
 
 	sb.WriteString("modules\n")
 	mods := append([]*modassign.Module(nil), mb.Modules...)
@@ -478,7 +441,6 @@ func keySections(g *dfg.Graph, mb *modassign.Binding, cfg Config) []keySection {
 		}
 		sb.WriteByte('\n')
 	}
-	cut()
 
 	var ports []string
 	for _, v := range g.Vars() {
@@ -488,31 +450,10 @@ func keySections(g *dfg.Graph, mb *modassign.Binding, cfg Config) []keySection {
 	}
 	sort.Strings(ports)
 	sb.WriteString("ports " + strings.Join(ports, " ") + "\n")
-	cut()
 
 	sb.WriteString("dfg\n")
 	g.WriteText(&sb)
-	cut()
-
-	s := sb.String()
-	out := make([]keySection, len(keySectionOrder))
-	start := 0
-	for i, name := range keySectionOrder {
-		out[i] = keySection{name: name, payload: s[start:ends[i]]}
-		start = ends[i]
-	}
-	return out
-}
-
-// sectionPayload returns the payload of the named section ("" when the
-// section contributed nothing to the stream).
-func sectionPayload(secs []keySection, name string) string {
-	for _, s := range secs {
-		if s.name == name {
-			return s.payload
-		}
-	}
-	return ""
+	return sb.String()
 }
 
 // cacheKey computes the canonical content-addressed key for one
@@ -524,16 +465,7 @@ func sectionPayload(secs []keySection, name string) string {
 // explicit map and the automatic binder hit the same entry whenever
 // they resolve identically.
 func cacheKey(g *dfg.Graph, mb *modassign.Binding, cfg Config) cache.Key {
-	secs := keySections(g, mb, cfg)
-	n := 0
-	for _, s := range secs {
-		n += len(s.payload)
-	}
-	pre := make([]byte, 0, n)
-	for _, s := range secs {
-		pre = append(pre, s.payload...)
-	}
-	return cache.Key(sha256.Sum256(pre))
+	return cache.Key(sha256.Sum256([]byte(keyPreimage(g, mb, cfg))))
 }
 
 // cacheEntryJSON is the persistent entry payload. Only the winning

@@ -2,7 +2,6 @@ package regassign
 
 import (
 	"fmt"
-	"sort"
 
 	"bistpath/internal/dfg"
 	"bistpath/internal/modassign"
@@ -145,56 +144,4 @@ func forcedForModule(g *dfg.Graph, mb *modassign.Binding, module string, regs []
 		}
 	}
 	return Forced{}, false
-}
-
-// ForcedCount returns the number of modules whose current assignment
-// forces a CBILBO. The incremental binder minimizes this.
-func ForcedCount(g *dfg.Graph, mb *modassign.Binding, regs [][]string) int {
-	return len(ForcedCBILBOs(g, mb, regs))
-}
-
-// ForcedRegisterSet returns a minimal-cardinality set of register indices
-// that covers all forced situations: case-(i) registers are mandatory;
-// for case-(ii) pairs either member suffices, so a greedy cover choosing
-// registers resolving the most remaining pairs is used.
-func ForcedRegisterSet(g *dfg.Graph, mb *modassign.Binding, regs [][]string) []int {
-	forced := ForcedCBILBOs(g, mb, regs)
-	chosen := make(map[int]bool)
-	var pairs [][2]int
-	for _, f := range forced {
-		if !f.CaseII {
-			chosen[f.Regs[0]] = true
-		} else {
-			pairs = append(pairs, [2]int{f.Regs[0], f.Regs[1]})
-		}
-	}
-	for {
-		var open [][2]int
-		for _, p := range pairs {
-			if !chosen[p[0]] && !chosen[p[1]] {
-				open = append(open, p)
-			}
-		}
-		if len(open) == 0 {
-			break
-		}
-		count := make(map[int]int)
-		for _, p := range open {
-			count[p[0]]++
-			count[p[1]]++
-		}
-		best, bestN := -1, -1
-		for r, n := range count {
-			if n > bestN || (n == bestN && r < best) {
-				best, bestN = r, n
-			}
-		}
-		chosen[best] = true
-	}
-	out := make([]int, 0, len(chosen))
-	for r := range chosen {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -81,36 +81,6 @@ func TestForcedPartialAssignmentConservative(t *testing.T) {
 	}
 }
 
-func TestForcedRegisterSet(t *testing.T) {
-	g := dfg.New("fr")
-	g.AddInput("p", "q", "r", "s")
-	g.AddOp("a1", dfg.Add, 1, "u", "p", "q")
-	g.AddOp("a2", dfg.Add, 2, "v", "r", "s")
-	g.AddOp("n1", dfg.And, 3, "w", "u", "v")
-	g.MarkOutput("w")
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	mb, err := modassign.FromMap(g, map[string]string{"a1": "M1", "a2": "M1", "n1": "M2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Case (ii) pair for M1 plus case (i) for M2 sharing register 0:
-	// R0 = {p,r,u,w} (holds u; hits both adds; holds w=O_M2 and hits n1
-	// via u), R1 = {q,s,v}.
-	regs := [][]string{{"p", "r", "u", "w"}, {"q", "s", "v"}}
-	forced := ForcedCBILBOs(g, mb, regs)
-	if len(forced) != 2 {
-		t.Fatalf("forced = %v, want 2 situations", forced)
-	}
-	set := ForcedRegisterSet(g, mb, regs)
-	// Register 0 resolves both the case(i) and (as a pair member) the
-	// case(ii): minimal cover = {0}.
-	if len(set) != 1 || set[0] != 0 {
-		t.Errorf("ForcedRegisterSet = %v, want [0]", set)
-	}
-}
-
 func TestForcedOnBenchmarkBindings(t *testing.T) {
 	// The paper's binder must never be worse than the traditional one in
 	// forced-CBILBO count on the five benchmarks.

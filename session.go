@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"bistpath/internal/bist"
 	"bistpath/internal/dfg"
 	"bistpath/internal/modassign"
 )
@@ -15,21 +16,19 @@ import (
 // design that can be edited in place and re-synthesized, with the
 // pipeline reusing whatever the edit provably did not invalidate. The
 // mutators (SetStep, ReplaceOp, RemapModule, RetimePort) apply the edit
-// immediately and record it as a typed Delta; Resynthesize then diffs
-// the design's sectioned fingerprint (the same sections the result
-// cache hashes) against the previous run to find the earliest
-// invalidated phase, re-enters the pipeline there, and carries the
-// surviving artifacts forward:
+// immediately and record it as a typed Delta; Resynthesize then picks
+// the first of three reuse rungs that applies:
 //
-//   - nothing changed → the previous Result is replayed outright;
-//   - the register binder's fingerprint still matches (e.g. a
-//     reschedule that preserves every lifetime overlap) → the
-//     register-bind phase is skipped and the previous binding reused;
-//   - the rebuilt data path is structurally identical → the previous
-//     BIST plan is revalidated and spliced in place of the search;
-//   - otherwise the previous plan warm-starts the branch and bound as
-//     the incumbent bound, pruning the search without changing its
-//     result.
+//   - replay: the canonical pre-image of the inputs (the same bytes the
+//     result cache hashes) equals the previous run's, so no edit reached
+//     the pipeline and the previous Result is replayed outright;
+//   - steps-only fast path: every pending edit is a SetStep and the new
+//     schedule preserves every lifetime overlap, so the previous
+//     netlist and BIST plan survive and only the control program is
+//     rebuilt;
+//   - incumbent warm start: the full pipeline re-runs, and the previous
+//     plan seeds the branch and bound's incumbent bound, pruning the
+//     search without changing its result.
 //
 // Reuse never changes what a Result contains: an incremental Result is
 // identical to a from-scratch synthesis of the edited design — same
@@ -56,15 +55,15 @@ type Session struct {
 }
 
 // sessionState is the survivable residue of one successful Resynthesize:
-// the sectioned fingerprint of the inputs it ran on, the reusable phase
-// artifacts it captured, a private clone of its Result, and the wall
-// time of the most recent run that reused nothing (the baseline
+// the cache-key pre-image of the inputs it ran on, the phase artifacts
+// the fast path rebuilds from, a private clone of its Result, and the
+// wall time of the most recent run that reused nothing (the baseline
 // IncrementalSpeedup is measured against). The module binding and the
 // lifetime-overlap matrix back the reschedule fast path, which must
 // decide "did this step edit preserve every overlap?" without paying
 // for serialization or hashing.
 type sessionState struct {
-	secs      []keySection // nil after a fast-path run (see fastReschedule)
+	key       string // "" after a fast-path run (see fastReschedule)
 	arts      phaseArtifacts
 	result    *Result
 	coldTotal time.Duration
@@ -122,8 +121,8 @@ func (s *Synthesizer) NewSessionConfig(d *DFG, opToModule map[string]string, cfg
 	if closed {
 		return nil, ErrSynthesizerClosed
 	}
-	// Normalize once so the sectioned fingerprints computed across the
-	// session's lifetime agree with what the pipeline actually runs.
+	// Normalize once so the key pre-images computed across the session's
+	// lifetime agree with what the pipeline actually runs.
 	cfg = normalizeConfig(cfg)
 	cfg.Cache = nil
 	var m map[string]string
@@ -268,13 +267,13 @@ func allPhaseNames() []string {
 
 // Resynthesize synthesizes the session's current design, reusing
 // whatever the edits since the last run did not invalidate (see the
-// Session doc comment for the reuse ladder). The Result is identical in
-// content to a from-scratch synthesis of the edited design; only
-// Stats.ReusedPhases, Stats.IncrementalSpeedup and the effort counters
-// record that work was saved. A successful call consumes the pending
-// Deltas; a failed one (invalid edited design, cancellation) leaves
-// them pending and keeps the previous run's artifacts for the next
-// attempt.
+// Session doc comment for the three reuse rungs). The Result is
+// identical in content to a from-scratch synthesis of the edited
+// design; only Stats.ReusedPhases, Stats.IncrementalSpeedup and the
+// effort counters record that work was saved. A successful call
+// consumes the pending Deltas; a failed one (invalid edited design,
+// cancellation) leaves them pending and keeps the previous run's
+// artifacts for the next attempt.
 func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -286,9 +285,9 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 	// Reschedule fast path: if every pending edit is a SetStep and the
 	// new schedule preserves the lifetime-overlap matrix, the previous
 	// run's netlist and plan are reusable wholesale — only the control
-	// program is rebuilt. This sidesteps the pipeline (and all its
-	// fingerprint hashing) entirely; correctness rests on the matrix
-	// comparison plus the differential property/fuzz tests.
+	// program is rebuilt. This sidesteps the pipeline (and the key
+	// pre-image) entirely; correctness rests on the matrix comparison
+	// plus the differential property/fuzz tests.
 	if res, handled, err := ss.fastReschedule(start); handled {
 		return res, err
 	}
@@ -299,11 +298,11 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	// Diff the sectioned fingerprint against the previous run. Full
-	// equality means no edit reached the pipeline's inputs (e.g. a step
-	// edit that was immediately undone): replay the previous Result.
-	secs := keySections(ss.g, mb, ss.cfg)
-	if prev := ss.prev; prev != nil && slices.Equal(secs, prev.secs) {
+	// Compare the key pre-image with the previous run's. Equality means
+	// no edit reached the pipeline's inputs (e.g. a port mark that was
+	// immediately undone): replay the previous Result.
+	key := keyPreimage(ss.g, mb, ss.cfg)
+	if prev := ss.prev; prev != nil && key == prev.key {
 		res := prev.result.clone()
 		st := res.Stats // the populating run's stats, replayed
 		st.ReusedPhases = allPhaseNames()
@@ -316,13 +315,11 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 		return res, nil
 	}
 
-	// Something changed: re-enter the pipeline with the previous run's
-	// artifacts offered for reuse. The pipeline's own finer-grained
-	// checks (binder fingerprint, data-path structural fingerprint,
-	// plan revalidation) decide phase by phase what actually survives.
-	var reuse *phaseArtifacts
+	// Something changed: re-run the pipeline, with the previous plan as
+	// the search's incumbent bound.
+	var incumbent *bist.Plan
 	if ss.prev != nil {
-		reuse = &ss.prev.arts
+		incumbent = ss.prev.result.plan
 	}
 	var art phaseArtifacts
 	// The pipeline runs on a private snapshot so Results handed out
@@ -330,24 +327,14 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 	// later session edits.
 	g, cfg := ss.g.Clone(), ss.cfg
 	res, err := ss.synth.runWith(ctx, func(ctx context.Context, sc *synthScratch) (*Result, error) {
-		return synthesizePipeline(ctx, g, mb, cfg, pipeExtras{sc: sc, reuse: reuse, capture: &art})
+		return synthesizePipeline(ctx, g, mb, cfg, pipeExtras{sc: sc, incumbent: incumbent, capture: &art})
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	st := res.Stats
-	coldTotal := st.Total
-	if len(st.ReusedPhases) > 0 && ss.prev != nil {
-		// Phases were reused: the speedup baseline is the last run that
-		// reused nothing.
-		coldTotal = ss.prev.coldTotal
-		if coldTotal > 0 && st.Total > 0 {
-			st.IncrementalSpeedup = float64(coldTotal) / float64(st.Total)
-		}
-	}
-	res.Stats = st
-	state := &sessionState{secs: secs, arts: art, result: res.clone(), coldTotal: coldTotal, mb: mb}
+	// A pipeline run reuses no phase, so it is the new speedup baseline.
+	state := &sessionState{key: key, arts: art, result: res.clone(), coldTotal: res.Stats.Total, mb: mb}
 	if vars, m, err := overlapMatrix(g); err == nil {
 		state.allocVars, state.overlaps = vars, m
 	}
@@ -357,26 +344,22 @@ func (ss *Session) Resynthesize(ctx context.Context) (*Result, error) {
 }
 
 // fastReschedule is the steps-only fast path of Resynthesize (which
-// holds ss.mu). It applies when every pending delta is a SetStep, the
-// previous run captured a complete artifact set, and cachePolicy lets
-// the configuration's plans be spliced. If the edited schedule
-// preserves the lifetime-overlap matrix — the only channel through
-// which control steps reach the register binder — then the register
-// binding, interconnect, netlist and BIST plan are all provably
-// unchanged, and the run reduces to validation plus rebuilding the
-// control program on the previous netlist (Datapath.WithSchedule).
+// holds ss.mu). It applies when there is a previous run, every pending
+// delta is a SetStep, and cachePolicy lets the configuration's plan be
+// replayed. If the edited schedule preserves the lifetime-overlap
+// matrix — the only channel through which control steps reach the
+// register binder — then the register binding, interconnect, netlist
+// and BIST plan are all provably unchanged, and the run reduces to
+// validation plus rebuilding the control program on the previous
+// netlist (Datapath.WithSchedule).
 //
-// handled=false falls through to the general path, which re-derives
-// everything through its own fingerprint ladder. handled=true with an
-// error reports a design the full pipeline would reject identically
-// (validation failure), leaving the pending deltas in place.
+// handled=false falls through to the general path (replay or a full
+// pipeline run). handled=true with an error reports a design the full
+// pipeline would reject identically (validation failure), leaving the
+// pending deltas in place.
 func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, err error) {
 	prev := ss.prev
-	if prev == nil || len(ss.deltas) == 0 || !cachePolicy(ss.cfg) {
-		return nil, false, nil
-	}
-	if prev.mb == nil || prev.overlaps == nil || prev.arts.dp == nil ||
-		prev.arts.ib == nil || prev.arts.rb == nil {
+	if prev == nil || prev.overlaps == nil || len(ss.deltas) == 0 || !cachePolicy(ss.cfg) {
 		return nil, false, nil
 	}
 	for _, d := range ss.deltas {
@@ -418,13 +401,13 @@ func (ss *Session) fastReschedule(start time.Time) (res *Result, handled bool, e
 	}
 	res.Stats = st
 
-	// Persist the rescheduled state. secs stays nil: the sectioned
-	// fingerprint on file describes the pre-edit schedule, and replaying
-	// against it after a later (say, undoing) edit would resurrect a
-	// Result with the wrong control program. The overlap matrix carries
-	// forward unchanged — that's exactly what was just proven.
+	// Persist the rescheduled state. key is cleared: the pre-image on
+	// file describes the pre-edit schedule, and replaying against it
+	// after a later (say, undoing) edit would resurrect a Result with
+	// the wrong control program. The overlap matrix carries forward
+	// unchanged — that's exactly what was just proven.
 	stored := *prev
-	stored.secs = nil
+	stored.key = ""
 	stored.arts.dp = dp
 	stored.result = res.clone()
 	ss.prev = &stored
